@@ -12,6 +12,7 @@ are merged.  All values are immutable after construction.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +21,8 @@ from .kernels import (
     DEFAULT_MARGIN,
     IndeterminateError,
     RANK_RTOL,
+    _lawson_hanson,
     lp_feasible,
-    nnls,
 )
 
 MEMBERSHIP_TOL = 1e-9
@@ -197,6 +198,10 @@ def _check_dim(cone, x):
         raise DimensionMismatchError(
             f"vector of size {x.size} vs cone dimension {dim_of(cone)}"
         )
+    # Runs on every projection and margin: on vectors this short a loop over
+    # Python floats is several times cheaper than np.isfinite.
+    if not all(map(math.isfinite, x.tolist())):
+        raise ValueError("vector entries must be finite")
     return x
 
 
@@ -249,15 +254,8 @@ def cone_margin(cone, x):
         return float(np.min(lam))
     if isinstance(cone, PolyhedralV):
         V = cone.generators
-        if V.shape[1] <= V.shape[0]:
-            res = nnls(V, x)
-        else:
-            # Rank-deficient columns: fall back to the polar description.
-            from .projections import project  # local import to avoid a cycle
-
-            p = project(cone, x).point
-            return float(-np.linalg.norm(x - p))
-        return float(-res.residual)
+        lam, _ = _lawson_hanson(V, x)
+        return float(-np.linalg.norm(x - V @ lam))
     raise UnsupportedConeError(type(cone).__name__)
 
 

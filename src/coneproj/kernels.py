@@ -1,4 +1,4 @@
-"""Dense numerical kernels: nonnegative least squares, LP feasibility, linear solves.
+"""Dense numerical kernels: nonnegative least squares and LP feasibility.
 
 All kernels are deterministic and operate on small dense problems (tens of
 dimensions).  They back the cone projection and certification layers.
@@ -14,6 +14,10 @@ from scipy.optimize import linprog
 # Smallest/largest singular value ratio below which a matrix is treated as
 # rank deficient.
 RANK_RTOL = 1e-8
+
+# Lawson-Hanson stops once no free column's gradient exceeds this multiple of
+# max|A| (with b scaled to max|b| in [0.5, 1)).
+NNLS_RTOL = 1e-12
 
 DEFAULT_BOX = 1e3
 DEFAULT_MARGIN = 1e-7
@@ -43,53 +47,36 @@ class LpResult:
     margin: float
 
 
-def solve_linear(A, b):
-    """Solve A x = b for square nonsingular A (partial-pivoting LU).
+def _lawson_hanson(A, b, max_iter=None):
+    """Lawson-Hanson active-set solution of min ||A @ c - b|| over c >= 0.
 
-    Raises SingularMatrixError when the singular value ratio of A falls
-    below RANK_RTOL.
+    Shared by every NNLS route.  A may have any shape, including more
+    columns than rows and dependent columns: a column enters the passive set
+    only while its gradient exceeds NNLS_RTOL relative to the largest entry
+    of A, so columns in the span of the passive ones never enter.  b is
+    divided by the exact power of two 2**e, e = frexp(max|b|)[1], and the
+    solution multiplied back, so the fixed relative tolerance holds at every
+    scale (1e-300 to 1e300).  Column selection breaks ties toward the lowest
+    index, so the output is deterministic.  Passive coefficients are strictly
+    positive and the rest exactly zero.
+
+    Returns (coefficients, iterations).  Raises IndeterminateError when the
+    iteration cap (10 * columns by default) is exhausted.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("A must be square")
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] < RANK_RTOL * sv[0]:
-        raise SingularMatrixError("matrix is numerically singular")
-    return np.linalg.solve(A, b)
-
-
-def nnls(A, b, tol=1e-10, max_iter=None):
-    """Lawson-Hanson active-set nonnegative least squares.
-
-    Minimizes ||A @ x - b|| subject to x >= 0 for A with full column rank
-    (columns <= rows).  Ties in the gradient-based column selection break
-    toward the lowest index, so the iteration is fully deterministic.
-
-    Raises SingularMatrixError on rank-deficient A and IndeterminateError
-    when the iteration cap (10 * n by default) is exhausted.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if A.ndim != 2:
-        raise ValueError("A must be a matrix")
-    m, n = A.shape
-    if m < n:
-        raise ValueError("A must have at least as many rows as columns")
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] < RANK_RTOL * sv[0]:
-        raise SingularMatrixError("A is rank deficient")
+    n = A.shape[1]
     if max_iter is None:
         max_iter = 10 * n
-
+    e = int(np.frexp(np.max(np.abs(b), initial=0.0))[1])
+    b = np.ldexp(b, -e)
+    tol = NNLS_RTOL * float(np.max(np.abs(A), initial=0.0))
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
     iters = 0
     while True:
         w = A.T @ (b - A @ x)
-        w_free = np.where(passive, -np.inf, w)
-        j = int(np.argmax(w_free))  # argmax breaks ties toward lowest index
-        if w_free[j] <= tol:
+        w[passive] = -np.inf
+        j = int(np.argmax(w))  # argmax breaks ties toward the lowest index
+        if w[j] <= tol:
             break
         passive[j] = True
         while True:
@@ -97,24 +84,55 @@ def nnls(A, b, tol=1e-10, max_iter=None):
             if iters > max_iter:
                 raise IndeterminateError("nnls iteration cap exceeded")
             idx = np.flatnonzero(passive)
-            s_sub, *_ = np.linalg.lstsq(A[:, idx], b, rcond=None)
-            if s_sub.min() > 0.0:
+            s, *_ = np.linalg.lstsq(A[:, idx], b, rcond=None)
+            if s.min() > 0.0:
                 x = np.zeros(n)
-                x[idx] = s_sub
+                x[idx] = s
                 break
-            # Step toward s until the first passive coordinate hits zero.
-            s = np.zeros(n)
-            s[idx] = s_sub
-            mask = passive & (s <= 0.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(mask, x / (x - s), np.inf)
-            alpha = float(np.min(ratios))
-            x = x + alpha * (s - x)
-            passive &= x > tol * max(1.0, float(np.max(np.abs(x))))
-            x[~passive] = 0.0
+            xp = x[idx]
+            blocking = s <= 0.0
+            if (blocking & (xp == 0.0)).any():
+                # Only the entering column starts at zero.  It cannot move
+                # off zero, so its gradient was rounding noise and x is
+                # already optimal.
+                return np.ldexp(x, e), iters
+            # Step toward s until the first passive coefficient hits zero.
+            ratios = np.full(idx.size, np.inf)
+            ratios[blocking] = xp[blocking] / (xp[blocking] - s[blocking])
+            k = int(np.argmin(ratios))
+            xp = xp + ratios[k] * (s - xp)
+            xp[k] = 0.0
+            x[idx] = np.maximum(xp, 0.0)
+            passive = x > 0.0
+    return np.ldexp(x, e), iters
 
+
+def nnls(A, b, max_iter=None):
+    """Lawson-Hanson nonnegative least squares with a full-rank check.
+
+    Minimizes ||A @ x - b|| subject to x >= 0 for finite A with full column
+    rank (columns <= rows) and finite b; the solve itself is the shared
+    relative-tolerance solver, exact at any scale of b and deterministic.
+
+    Raises ValueError on a bad shape or non-finite entries,
+    SingularMatrixError on rank-deficient A and IndeterminateError when the
+    iteration cap (10 * columns by default) is exhausted.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if A.ndim != 2 or b.shape != (A.shape[0],):
+        raise ValueError("A must be a matrix and b a vector with one entry per row")
+    m, n = A.shape
+    if m < n:
+        raise ValueError("A must have at least as many rows as columns")
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("A and b must be finite")
+    sv = np.linalg.svd(A, compute_uv=False)
+    if sv[0] == 0.0 or sv[-1] < RANK_RTOL * sv[0]:
+        raise SingularMatrixError("A is rank deficient")
+    x, _ = _lawson_hanson(A, b, max_iter)
     residual = float(np.linalg.norm(b - A @ x))
-    active = frozenset(int(i) for i in np.flatnonzero(~passive))
+    active = frozenset(int(i) for i in np.flatnonzero(x == 0.0))
     return NnlsResult(coefficients=x, residual=residual, active=active)
 
 

@@ -1,11 +1,14 @@
 """Metric projection onto the supported cone families.
 
-Closed forms exist for the orthant variants and the Lorentz cone; simplicial
-cones go through nonnegative least squares on the generator matrix; the
-monotone nonnegative cone through pool-adjacent-violators; halfspace cones
-through Dykstra's alternating projections with an exact active-set polish.
-An exhaustive active-set oracle (project_oracle) provides an independent
-reference for validation.
+Closed forms exist for the orthant variants, the Lorentz cone and simplicial
+cones with orthonormal generators; the monotone nonnegative cone goes through
+pool-adjacent-violators.  Every other polyhedral cone goes through one exact
+Lawson-Hanson nonnegative least squares solve: on the generators for
+simplicial and generator cones (P_K x = V lambda), and on the transposed
+facet normals for halfspace cones, whose projection follows from Moreau's
+decomposition with the polar cone (P_K x = x - U^T mu).  An exhaustive
+active-set oracle (project_oracle) provides an independent reference for
+validation.
 """
 
 from __future__ import annotations
@@ -28,19 +31,13 @@ from .cones import (
     dual,
     facet_normals,
 )
-from .kernels import SingularMatrixError, nnls
+from .kernels import IndeterminateError, _lawson_hanson
 
-DYKSTRA_CYCLE_TOL = 1e-10
-DYKSTRA_MAX_VISITS = 100_000
 ORACLE_MAX_FACETS = 20
 
 
 class NonConvergenceError(RuntimeError):
-    """Iterative projection failed to converge; carries the best iterate."""
-
-    def __init__(self, message, best_iterate=None):
-        super().__init__(message)
-        self.best_iterate = best_iterate
+    """The projection's Lawson-Hanson solve exhausted its iteration cap."""
 
 
 @dataclass(frozen=True)
@@ -105,102 +102,6 @@ def _subspace_projection(U_S, x):
     return x - U_S.T @ mu
 
 
-def _project_halfspaces(U, x):
-    """Projection onto {z : U z <= 0} by Dykstra plus an active-set polish.
-
-    Returns (point, iterations).  Raises NonConvergenceError (carrying the
-    best iterate) if neither the polish nor the oracle fallback certifies a
-    solution.
-    """
-    k, m = U.shape
-    p = x.copy()
-    corr = np.zeros((k, m))
-    visits = 0
-    while visits < DYKSTRA_MAX_VISITS:
-        prev = p.copy()
-        for i in range(k):
-            y = p + corr[i]
-            t = float(U[i] @ y)
-            if t > 0.0:
-                p = y - t * U[i]
-                corr[i] = y - p
-            else:
-                p = y
-                corr[i] = 0.0
-            visits += 1
-        if float(np.linalg.norm(p - prev)) < DYKSTRA_CYCLE_TOL:
-            break
-
-    scale = 1.0 + float(np.linalg.norm(x))
-    polished = _polish_halfspace_projection(U, x, p, scale)
-    if polished is not None:
-        return polished, visits
-    if k <= ORACLE_MAX_FACETS:
-        return _oracle_halfspaces(U, x), visits
-    if _kkt_ok(U, x, p, 1e-7 * scale):
-        return p, visits
-    raise NonConvergenceError("Dykstra projection did not converge", best_iterate=p)
-
-
-def _equality_solve_on_active(U, x, active):
-    """Projection of x onto the span orthogonal to the active facet normals."""
-    if active.size == 0:
-        return x.copy()
-    U_S = U[active]
-    cand = _subspace_projection(U_S, x)
-    if cand is not None:
-        return cand
-    # Reduce to an independent subset of the active rows.
-    _, r = np.linalg.qr(U_S.T)
-    diag = np.abs(np.diag(r))
-    keep = np.zeros(U_S.shape[0], dtype=bool)
-    keep[: diag.size] = diag > 1e-10
-    if not keep.any():
-        return x.copy()
-    return _subspace_projection(U_S[keep], x)
-
-
-def _polish_halfspace_projection(U, x, p_approx, scale, active_tol=1e-6):
-    """Exact equality-constrained solve on the near-active facet set.
-
-    Re-detects the active set at each candidate so that facets grazed by the
-    equality solve are picked up; the accepted point is feasible to near
-    machine precision.
-    """
-    cand = p_approx
-    for _ in range(4):
-        vals = U @ cand
-        active = np.flatnonzero(vals > -active_tol * scale)
-        cand = _equality_solve_on_active(U, x, active)
-        if cand is None:
-            return None
-        if np.max(U @ cand, initial=-np.inf) <= 1e-11 * scale:
-            break
-    if np.max(U @ cand, initial=-np.inf) > 1e-11 * scale:
-        return None
-    if not _kkt_ok(U, x, cand, 1e-9 * scale):
-        return None
-    return cand
-
-
-def _kkt_ok(U, x, p, tol):
-    """Check p = P_K x for K = {z : Uz <= 0}: feasibility plus q in cone(U rows)."""
-    if np.max(U @ p, initial=-np.inf) > tol:
-        return False
-    q = x - p
-    nq = float(np.linalg.norm(q))
-    if nq <= tol:
-        return True
-    try:
-        if U.shape[0] <= U.shape[1]:
-            res = nnls(U.T, q)
-            return res.residual <= max(tol, 1e-8 * nq)
-    except SingularMatrixError:
-        pass
-    # Many or dependent normals: accept on orthogonality alone.
-    return abs(float(p @ q)) <= max(tol, 1e-8) * max(1.0, nq)
-
-
 def _oracle_halfspaces(U, x):
     from itertools import combinations
 
@@ -245,6 +146,14 @@ def project_oracle(cone, x):
     return _oracle_halfspaces(U, x)
 
 
+def _nnls(A, x):
+    """Shared Lawson-Hanson solve; its iteration cap raises NonConvergenceError."""
+    try:
+        return _lawson_hanson(A, x)
+    except IndeterminateError as exc:
+        raise NonConvergenceError(str(exc)) from exc
+
+
 def _is_orthonormal(E):
     G = E.T @ E
     return float(np.max(np.abs(G - np.eye(E.shape[1])))) < 1e-12
@@ -273,25 +182,23 @@ def project(cone, x):
         E = cone.columns
         if _is_orthonormal(E):
             lam = np.maximum(E.T @ x, 0.0)
-            p = E @ lam
-            active = frozenset(int(i) for i in np.flatnonzero(lam == 0.0))
         else:
-            res = nnls(E, x)
-            p = E @ res.coefficients
-            active = res.active
-            iterations = 1
+            lam, iterations = _nnls(E, x)
+        p = E @ lam
+        active = frozenset(int(i) for i in np.flatnonzero(lam == 0.0))
     elif isinstance(cone, MonotoneNonneg):
         p = np.maximum(pava(x), 0.0)
     elif isinstance(cone, PolyhedralH):
-        p, iterations = _project_halfspaces(cone.normals, x)
-        vals = cone.normals @ p
+        U = cone.normals
+        mu, iterations = _nnls(U.T, x)
+        p = x - U.T @ mu
+        vals = U @ p
         active = frozenset(
-            int(i) for i in np.flatnonzero(vals > -1e-9 * (1.0 + np.linalg.norm(x)))
+            int(i) for i in np.flatnonzero(vals >= -1e-9 * np.max(np.abs(x)))
         )
     elif isinstance(cone, PolyhedralV):
-        Upolar = cone.generators.T
-        q0, iterations = _project_halfspaces(Upolar, x)
-        p = x - q0
+        lam, iterations = _nnls(cone.generators, x)
+        p = cone.generators @ lam
     else:
         raise UnsupportedConeError(type(cone).__name__)
     q = p - x

@@ -8,7 +8,6 @@ from coneproj import (
     SingularMatrixError,
     lp_feasible,
     nnls,
-    solve_linear,
 )
 
 
@@ -86,6 +85,11 @@ class TestNnls:
         with pytest.raises(SingularMatrixError):
             nnls(A, np.ones(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            nnls(np.eye(2), np.array([1.0, bad]))
+
     def test_iteration_cap(self, rng):
         A = rng.standard_normal((6, 4))
         b = rng.standard_normal(6)
@@ -126,22 +130,3 @@ class TestLpFeasible:
             if full.status == "feasible":
                 assert reduced.status == "feasible"
 
-
-class TestSolveLinear:
-    def test_identity(self):
-        b = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(solve_linear(np.eye(3), b), b)
-
-    def test_diagonal(self):
-        x = solve_linear(np.array([[2.0, 0.0], [0.0, 4.0]]), np.array([2.0, 8.0]))
-        np.testing.assert_allclose(x, [1.0, 2.0])
-
-    def test_residual(self, rng):
-        A = rng.standard_normal((8, 8)) + 8 * np.eye(8)
-        b = rng.standard_normal(8)
-        x = solve_linear(A, b)
-        assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
-
-    def test_singular(self):
-        with pytest.raises(SingularMatrixError):
-            solve_linear(np.ones((2, 2)), np.ones(2))

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,13 +7,16 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from coneproj import (
+    DimensionMismatchError,
     Hyperplane,
     Lorentz,
     MonotoneNonneg,
+    NonConvergenceError,
     Orthant,
     PolyhedralH,
     PolyhedralV,
     SignedOrthant,
+    Simplicial,
     UnsupportedConeError,
     boundary_ray_preimage_check,
     dual,
@@ -22,6 +27,7 @@ from coneproj import (
     project_hyperplane,
     project_oracle,
 )
+from coneproj import kernels, projections
 from conftest import random_simplicial
 
 
@@ -89,6 +95,88 @@ class TestProject:
                 np.testing.assert_allclose(x, r.point - r.dual_point, atol=1e-9)
                 assert abs(float(r.point @ r.dual_point)) < 1e-8
                 assert r.residual == pytest.approx(np.linalg.norm(x - r.point))
+
+
+def ring_cone(k):
+    """Halfspace cone with the k normals (cos t, sin t, -1), t equally spaced."""
+    theta = 2.0 * np.pi * np.arange(k) / k
+    return PolyhedralH(3, np.stack([np.cos(theta), np.sin(theta), -np.ones(k)], axis=1))
+
+
+# Columns (1, 0) and (1, 1).
+SKEW_SIMPLICIAL = Simplicial(np.array([[1.0, 1.0], [0.0, 1.0]]))
+# Columns (1, 0, 1), (0, 1, 1) and (-1, -1, 1).
+THREE_GENERATORS = PolyhedralV(3, np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0],
+                                            [1.0, 1.0, 1.0]]))
+# A 5-facet cone and a point whose projection lies 9.4e-7 from the apex, close
+# enough that a loose optimality check accepts the apex.
+NEAR_APEX_CONE = PolyhedralH(3, np.array([
+    [-0.20103561927551253, -0.13621964599642405, 1.2144426459202131],
+    [-0.9858081610369416, 0.02768848803784114, 2.5680021694050312],
+    [1.196509322232041, -0.5355738697241406, -0.4990076368585456],
+    [-0.05333795034071103, 1.1839189901651723, 0.4186614417667028],
+    [-0.929317254095436, -0.8322889271300605, 0.06594358355223454],
+]))
+NEAR_APEX_POINT = np.array(
+    [0.015288904957821106, 0.008511980478305514, -0.0011300255322874958])
+
+
+def _exactness_cases():
+    # 30 facets: about (0.063952, -0.020779, 0.066875), 23.670742 from x; the
+    # apex is 23.670931 away.  Reference from enumerating every active set.
+    yield pytest.param(
+        ring_cone(30),
+        np.array([16.10163254264054, -4.663284814903558, -16.712396645976323]),
+        lambda: np.array([0.06395243459134292, -0.02077940562076197, 0.06687520181341]),
+        id="ring30",
+    )
+    yield pytest.param(SKEW_SIMPLICIAL, np.array([-1.0, 2.0]) * 1e-300,
+                       lambda: np.array([0.5, 0.5]) * 1e-300, id="simplicial-1e-300")
+    yield pytest.param(NEAR_APEX_CONE, NEAR_APEX_POINT,
+                       lambda: project_oracle(NEAR_APEX_CONE, NEAR_APEX_POINT),
+                       id="near-apex")
+    # Positive homogeneity: P(s x) = s P(x).
+    bases = [
+        ("simplicial", SKEW_SIMPLICIAL, np.array([-1.0, 2.0])),
+        ("ring8", ring_cone(8), np.array([2.0, 0.5, 0.3])),
+        ("generators3", THREE_GENERATORS, np.array([2.0, -1.0, 0.5])),
+    ]
+    for name, K, x in bases:
+        for s in (1e-150, 1e-100, 1e-50, 1e50, 1e100, 1e150):
+            yield pytest.param(K, s * x, lambda K=K, x=x, s=s: s * project(K, x).point,
+                               id=f"{name}-homogeneous-{s:.0e}")
+
+
+@pytest.mark.parametrize("cone, x, expected", _exactness_cases())
+def test_projection_exact(cone, x, expected):
+    p = project(cone, x).point
+    assert np.max(np.abs(p - expected())) <= 1e-8 * np.max(np.abs(x))
+
+
+def test_solver_cap_raises_nonconvergence(monkeypatch):
+    monkeypatch.setattr(projections, "_lawson_hanson",
+                        partial(kernels._lawson_hanson, max_iter=0))
+    with pytest.raises(NonConvergenceError):
+        project(ring_cone(8), np.array([2.0, 0.5, 0.3]))
+
+
+NONFINITE_CONES = [
+    Orthant(3),
+    SignedOrthant(np.array([1.0, -1.0, 1.0])),
+    Simplicial(np.triu(np.ones((3, 3)))),
+    ring_cone(8),
+    THREE_GENERATORS,
+    Lorentz(3),
+    MonotoneNonneg(3),
+]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("cone", NONFINITE_CONES, ids=lambda K: type(K).__name__)
+def test_nonfinite_input_rejected(cone, bad):
+    with pytest.raises(ValueError, match="finite") as info:
+        project(cone, np.array([1.0, bad, -1.0]))
+    assert not isinstance(info.value, DimensionMismatchError)
 
 
 class TestOracleAgreement:
