@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +23,8 @@ from .kernels import (
     IndeterminateError,
     RANK_RTOL,
     _lawson_hanson,
+    _row_norms,
+    _rows_times,
     lp_feasible,
 )
 
@@ -123,6 +126,19 @@ class Simplicial:
     @property
     def dim(self):
         return int(self.columns.shape[0])
+
+    @cached_property
+    def orthonormal(self):
+        """True when the columns are orthonormal (a rotated orthant)."""
+        E = self.columns
+        return float(np.max(np.abs(E.T @ E - np.eye(E.shape[1])))) < 1e-12
+
+    @cached_property
+    def inverse(self):
+        """Inverse of the generator matrix (read-only, computed once)."""
+        F = np.linalg.inv(self.columns)
+        F.flags.writeable = False
+        return F
 
 
 @dataclass(frozen=True)
@@ -229,6 +245,30 @@ def generator_matrix(cone):
     raise UnsupportedConeError(f"no generator representation for {type(cone).__name__}")
 
 
+def _margin_rows(cone):
+    """cone_margin of each row of a (B, m) array, as a function (B, m) -> (B,).
+
+    None for generator cones, whose margin needs an NNLS solve per row.
+    """
+    if isinstance(cone, Orthant):
+        return lambda X: X.min(axis=1)
+    if isinstance(cone, SignedOrthant):
+        eps = cone.epsilon
+        return lambda X: (eps * X).min(axis=1)
+    if isinstance(cone, Lorentz):
+        return lambda X: X[:, -1] - _row_norms(X[:, :-1])
+    if isinstance(cone, MonotoneNonneg):
+        return lambda X: np.minimum(
+            (X[:, :-1] - X[:, 1:]).min(axis=1, initial=np.inf), X[:, -1])
+    if isinstance(cone, PolyhedralH):
+        Ut = cone.normals.T
+        return lambda X: -_rows_times(X, Ut).max(axis=1)
+    if isinstance(cone, Simplicial):
+        Ft = cone.inverse.T
+        return lambda X: _rows_times(X, Ft).min(axis=1)
+    return None
+
+
 def cone_margin(cone, x):
     """Signed feasibility margin: >= 0 inside the cone, < 0 outside.
 
@@ -237,21 +277,9 @@ def cone_margin(cone, x):
     is what matters; magnitudes are family-specific.
     """
     x = _check_dim(cone, x)
-    if isinstance(cone, Orthant):
-        return float(np.min(x))
-    if isinstance(cone, SignedOrthant):
-        return float(np.min(cone.epsilon * x))
-    if isinstance(cone, Lorentz):
-        return float(x[-1] - np.linalg.norm(x[:-1]))
-    if isinstance(cone, MonotoneNonneg):
-        if cone.dim == 1:
-            return float(x[0])
-        return float(min(np.min(x[:-1] - x[1:]), x[-1]))
-    if isinstance(cone, PolyhedralH):
-        return float(-np.max(cone.normals @ x))
-    if isinstance(cone, Simplicial):
-        lam = np.linalg.solve(cone.columns, x)
-        return float(np.min(lam))
+    rows = _margin_rows(cone)
+    if rows is not None:
+        return float(rows(x[None, :])[0])
     if isinstance(cone, PolyhedralV):
         V = cone.generators
         lam, _ = _lawson_hanson(V, x)
@@ -273,8 +301,7 @@ def dual(cone):
     if isinstance(cone, (Orthant, SignedOrthant, Lorentz)):
         return cone  # self-dual
     if isinstance(cone, Simplicial):
-        F = np.linalg.inv(cone.columns).T
-        return Simplicial(columns=F)
+        return Simplicial(columns=cone.inverse.T)
     if isinstance(cone, MonotoneNonneg):
         F = np.linalg.inv(monotone_generators(cone.dim)).T
         return Simplicial(columns=F)
@@ -348,7 +375,7 @@ def facets(cone):
     elif isinstance(cone, SignedOrthant):
         normals = -np.diag(cone.epsilon)
     elif isinstance(cone, Simplicial):
-        normals = -np.linalg.inv(cone.columns)  # negated dual generators, as rows
+        normals = -cone.inverse  # negated dual generators, as rows
         normals = normals / np.linalg.norm(normals, axis=1)[:, None]
     elif isinstance(cone, MonotoneNonneg):
         if m == 1:

@@ -47,6 +47,22 @@ class LpResult:
     margin: float
 
 
+def _rows_times(X, M):
+    """X @ M for a (B, n) array X, computed row by row.
+
+    matmul over the stack of (1, n) rows makes the same BLAS call for every
+    row, so row i of the result depends on row i of X alone, bit for bit,
+    whatever B is.  A single (B, n) @ (n, k) product picks its kernel by
+    shape, and a row can round differently in a block of another size.
+    """
+    return np.matmul(X[:, None, :], M)[:, 0, :]
+
+
+def _row_norms(X):
+    """Euclidean norm of each row of a (B, n) array, without overflow."""
+    return np.hypot.reduce(X, axis=1, initial=0.0)
+
+
 def _lawson_hanson(A, b, max_iter=None):
     """Lawson-Hanson active-set solution of min ||A @ c - b|| over c >= 0.
 

@@ -13,7 +13,9 @@ validation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .cones import (
     dual,
     facet_normals,
 )
-from .kernels import IndeterminateError, _lawson_hanson
+from .kernels import IndeterminateError, _lawson_hanson, _row_norms, _rows_times
 
 ORACLE_MAX_FACETS = 20
 
@@ -77,19 +79,46 @@ def pava(y):
     return np.repeat(means, counts)
 
 
-def _project_lorentz(x):
-    xbar = x[:-1]
-    t = float(x[-1])
-    nx = float(np.linalg.norm(xbar))
-    if t >= nx:
-        return x.copy()
-    if t <= -nx:
-        return np.zeros_like(x)
-    alpha = 0.5 * (t + nx)
-    p = np.empty_like(x)
-    p[:-1] = alpha * xbar / nx
-    p[-1] = alpha
-    return p
+# Row kernels of the closed forms: each maps a (B, m) array of points to the
+# (B, m) array of their projections, row i depending on row i alone.
+
+
+def _clamp_rows(X):
+    return np.maximum(X, 0.0)
+
+
+def _signed_clamp_rows(eps, X):
+    return eps * np.maximum(eps * X, 0.0)
+
+
+def _lorentz_rows(X):
+    t = X[:, -1]
+    nx = _row_norms(X[:, :-1])
+    # alpha = (t + ||xbar||) / 2 clamped at 0.  A row inside the cone
+    # (alpha >= ||xbar||) stays; otherwise xbar scales by alpha / ||xbar||,
+    # which is 0 at the apex, and t becomes alpha.
+    alpha = np.maximum(0.5 * (t + nx), 0.0)
+    P = X * np.divide(alpha, nx, out=np.ones_like(nx), where=alpha < nx)[:, None]
+    P[:, -1] = np.maximum(alpha, t)
+    return P
+
+
+def _orthonormal_rows(E, X):
+    """Projection onto the cone on orthonormal columns E: E max(E^T x, 0)."""
+    return _rows_times(np.maximum(_rows_times(X, E), 0.0), E.T)
+
+
+def _closed_form(cone):
+    """Row kernel of the cone's projection, or None when it needs PAVA or NNLS."""
+    if isinstance(cone, Orthant):
+        return _clamp_rows
+    if isinstance(cone, SignedOrthant):
+        return partial(_signed_clamp_rows, cone.epsilon)
+    if isinstance(cone, Lorentz):
+        return _lorentz_rows
+    if isinstance(cone, Simplicial) and cone.orthonormal:
+        return partial(_orthonormal_rows, cone.columns)
+    return None
 
 
 def _subspace_projection(U_S, x):
@@ -108,7 +137,9 @@ def _oracle_halfspaces(U, x):
     k, m = U.shape
     if k > ORACLE_MAX_FACETS:
         raise UnsupportedConeError("representation too large for the oracle")
-    scale = 1.0 + float(np.linalg.norm(x))
+    # Feasibility slack and distance ties are relative to the input's size,
+    # so the enumeration gives the same active set at every scale.
+    scale = float(np.max(np.abs(x)))
     best = None
     best_dist = np.inf
     for size in range(0, min(k, m) + 1):
@@ -122,7 +153,7 @@ def _oracle_halfspaces(U, x):
             if np.max(U @ cand, initial=-np.inf) > 1e-11 * scale:
                 continue
             d = float(np.linalg.norm(x - cand))
-            if d < best_dist - 1e-15:
+            if d < best_dist - 1e-15 * scale:
                 best_dist = d
                 best = cand
     if best is None:
@@ -154,11 +185,6 @@ def _nnls(A, x):
         raise NonConvergenceError(str(exc)) from exc
 
 
-def _is_orthonormal(E):
-    G = E.T @ E
-    return float(np.max(np.abs(G - np.eye(E.shape[1])))) < 1e-12
-
-
 def project(cone, x):
     """Metric projection of x onto the cone, with Moreau companions.
 
@@ -169,23 +195,25 @@ def project(cone, x):
     x = _check_dim(cone, x)
     iterations = 0
     active = None
+    row = x[None, :]
     if isinstance(cone, Orthant):
-        p = np.maximum(x, 0.0)
+        p = _clamp_rows(row)[0]
         active = frozenset(int(i) for i in np.flatnonzero(x <= 0.0))
     elif isinstance(cone, SignedOrthant):
         eps = cone.epsilon
-        p = eps * np.maximum(eps * x, 0.0)
+        p = _signed_clamp_rows(eps, row)[0]
         active = frozenset(int(i) for i in np.flatnonzero(eps * x <= 0.0))
     elif isinstance(cone, Lorentz):
-        p = _project_lorentz(x)
+        p = _lorentz_rows(row)[0]
     elif isinstance(cone, Simplicial):
         E = cone.columns
-        if _is_orthonormal(E):
-            lam = np.maximum(E.T @ x, 0.0)
+        if cone.orthonormal:
+            p = _orthonormal_rows(E, row)[0]
+            lam = _rows_times(row, E)[0]  # unclamped: <= 0 where clamped to 0
         else:
             lam, iterations = _nnls(E, x)
-        p = E @ lam
-        active = frozenset(int(i) for i in np.flatnonzero(lam == 0.0))
+            p = E @ lam
+        active = frozenset(int(i) for i in np.flatnonzero(lam <= 0.0))
     elif isinstance(cone, MonotoneNonneg):
         p = np.maximum(pava(x), 0.0)
     elif isinstance(cone, PolyhedralH):
@@ -205,7 +233,7 @@ def project(cone, x):
     return ProjectionResult(
         point=p,
         dual_point=q,
-        residual=float(np.linalg.norm(x - p)),
+        residual=math.hypot(*q.tolist()),
         active_facets=active,
         iterations=iterations,
     )

@@ -161,6 +161,17 @@ class TestFalsify:
         result = runner.invoke(main, ["falsify", orthant3, lorentz2])
         assert result.exit_code == 3
 
+    def test_needle_order_inconclusive(self, runner, tmp_path, orthant3):
+        # Rejection sampling cannot find directions in so thin a cone.
+        eps = 1e-4
+        needle = write_cone(tmp_path, "needle.json", {
+            "type": "halfspaces", "dim": 3,
+            "normals": [[1.0, 0.0, -eps], [-1.0, 0.0, -eps],
+                        [0.0, 1.0, -eps], [0.0, -1.0, -eps]],
+        })
+        result = runner.invoke(main, ["falsify", orthant3, needle, "--trials", "10"])
+        assert result.exit_code == 2
+
 
 class TestRecognize:
     def test_monotone(self, runner, tmp_path):

@@ -9,6 +9,7 @@ from coneproj import (
     Obstruction,
     Orthant,
     PolyhedralH,
+    SamplingError,
     SignedOrthant,
     Simplicial,
     SubdualWitness,
@@ -37,6 +38,13 @@ def triangle_cone():
     """Simplicial cone whose Gram matrix has all off-diagonals -0.4."""
     G = np.eye(3) - 0.4 * (np.ones((3, 3)) - np.eye(3))
     return Simplicial(np.linalg.cholesky(G).T)
+
+
+def needle_cone(eps=1e-4):
+    """Halfspace cone {|x_1|, |x_2| <= eps x_3}: about eps^2 / 6 of the cube."""
+    return PolyhedralH(3, np.array([
+        [1.0, 0.0, -eps], [-1.0, 0.0, -eps], [0.0, 1.0, -eps], [0.0, -1.0, -eps],
+    ]))
 
 
 def brute_force_sign_split(G, tol=1e-9):
@@ -262,6 +270,44 @@ class TestFalsify:
         cex = falsify(K, L, cfg)
         assert cex is not None
         assert verify_certificate(cex, K, L)
+
+    def test_halfspace_order_clean(self):
+        # The orthant in halfspace form: directions come from rejection sampling.
+        assert falsify(Orthant(3), PolyhedralH(3, -np.eye(3))) is None
+
+    @pytest.mark.parametrize("K", [Orthant(3), triangle_cone(), MonotoneNonneg(3)],
+                             ids=["closed-form", "nnls", "pava"])
+    def test_needle_halfspace_order_raises(self, K):
+        with pytest.raises(SamplingError):
+            falsify(K, needle_cone(), FalsifierConfig(trials=10, seed=42))
+
+
+# Refuted pairs whose first violation comes after trial 1, with the seed.
+# With seed 18 trials 8 and 11 both violate, and both fall in the block of
+# trials 8..15.
+LATE_REFUTED = [
+    pytest.param(Orthant(2), Lorentz(2), 42, id="orthant-lorentz2"),
+    pytest.param(Orthant(2), Lorentz(2), 18, id="orthant-lorentz2-two-in-block"),
+    pytest.param(Orthant(3), Lorentz(3), 0, id="orthant-lorentz3"),
+    pytest.param(Orthant(3), PolyhedralH(3, np.array([[1.0, 1.0, -1.0], [0.0, 0.0, -1.0]])),
+                 0, id="orthant-halfspaces"),
+    pytest.param(triangle_cone(),
+                 dual(Simplicial(np.random.default_rng(5).standard_normal((3, 3)))),
+                 2, id="triangle-nnls"),
+]
+
+
+@pytest.mark.parametrize("K, L, seed", LATE_REFUTED)
+def test_lowest_violating_trial_independent_of_budget(K, L, seed):
+    cex = falsify(K, L, FalsifierConfig(trials=100_000, seed=seed))
+    assert cex.trial > 1
+    assert verify_certificate(cex, K, L)
+    # A budget ending at the violation groups the trials into other blocks.
+    same = falsify(K, L, FalsifierConfig(trials=cex.trial, seed=seed))
+    for field in ("x", "y", "px", "py", "violation"):
+        np.testing.assert_array_equal(getattr(same, field), getattr(cex, field))
+    assert (same.margin, same.trial) == (cex.margin, cex.trial)
+    assert falsify(K, L, FalsifierConfig(trials=cex.trial - 1, seed=seed)) is None
 
 
 class TestVerifyCertificate:

@@ -19,6 +19,7 @@ from coneproj import (
     Simplicial,
     UnsupportedConeError,
     boundary_ray_preimage_check,
+    cone_margin,
     dual,
     membership,
     moreau,
@@ -27,7 +28,7 @@ from coneproj import (
     project_hyperplane,
     project_oracle,
 )
-from coneproj import kernels, projections
+from coneproj import cones, kernels, projections
 from conftest import random_simplicial
 
 
@@ -135,6 +136,11 @@ def _exactness_cases():
     yield pytest.param(NEAR_APEX_CONE, NEAR_APEX_POINT,
                        lambda: project_oracle(NEAR_APEX_CONE, NEAR_APEX_POINT),
                        id="near-apex")
+    # About (1.1545, 0.4782, 1.1545) * 1e-20; an absolute feasibility slack
+    # in the oracle accepts x itself.
+    tiny = np.array([2.0, 0.5, 0.3]) * 1e-20
+    yield pytest.param(ring_cone(8), tiny, lambda: project_oracle(ring_cone(8), tiny),
+                       id="ring8-oracle-1e-20")
     # Positive homogeneity: P(s x) = s P(x).
     bases = [
         ("simplicial", SKEW_SIMPLICIAL, np.array([-1.0, 2.0])),
@@ -142,7 +148,7 @@ def _exactness_cases():
         ("generators3", THREE_GENERATORS, np.array([2.0, -1.0, 0.5])),
     ]
     for name, K, x in bases:
-        for s in (1e-150, 1e-100, 1e-50, 1e50, 1e100, 1e150):
+        for s in (1e-200, 1e-150, 1e-100, 1e-50, 1e50, 1e100, 1e150, 1e200):
             yield pytest.param(K, s * x, lambda K=K, x=x, s=s: s * project(K, x).point,
                                id=f"{name}-homogeneous-{s:.0e}")
 
@@ -151,6 +157,57 @@ def _exactness_cases():
 def test_projection_exact(cone, x, expected):
     p = project(cone, x).point
     assert np.max(np.abs(p - expected())) <= 1e-8 * np.max(np.abs(x))
+
+
+def test_residual_does_not_overflow():
+    assert project(Orthant(2), np.array([1e200, -1e200])).residual == 1e200
+
+
+ROTATION4 = np.linalg.qr(np.random.default_rng(4).standard_normal((4, 4)))[0]
+ROW_KERNEL_CONES = [
+    Orthant(4),
+    SignedOrthant(np.array([1.0, -1.0, -1.0, 1.0])),
+    Lorentz(4),
+    Lorentz(2),
+    Simplicial(ROTATION4),
+    SKEW_SIMPLICIAL,
+    MonotoneNonneg(4),
+    ring_cone(8),
+    THREE_GENERATORS,
+]
+
+
+def kernel_test_rows(cone, rng):
+    """Random rows with norms from 1e-3 to 1e3, the origin, and +-e_m."""
+    m = cone.dim
+    X = 10.0 ** rng.uniform(-3.0, 3.0, (40, 1)) * rng.standard_normal((40, m))
+    X[0] = 0.0
+    X[1] = np.eye(m)[-1]
+    X[2] = -X[1]
+    return X
+
+
+@pytest.mark.parametrize("cone", ROW_KERNEL_CONES, ids=lambda K: type(K).__name__)
+def test_row_kernel_matches_project(cone, rng):
+    rows = projections._closed_form(cone)
+    if isinstance(cone, (MonotoneNonneg, PolyhedralH, PolyhedralV)) or cone is SKEW_SIMPLICIAL:
+        assert rows is None  # PAVA or NNLS: projected row by row
+        return
+    X = kernel_test_rows(cone, rng)
+    P = rows(X)
+    for x, p in zip(X, P):
+        np.testing.assert_array_equal(p, project(cone, x).point)
+
+
+@pytest.mark.parametrize("cone", ROW_KERNEL_CONES, ids=lambda K: type(K).__name__)
+def test_margin_kernel_matches_cone_margin(cone, rng):
+    rows = cones._margin_rows(cone)
+    if isinstance(cone, PolyhedralV):
+        assert rows is None  # NNLS residual per row
+        return
+    X = kernel_test_rows(cone, rng)
+    for x, mg in zip(X, rows(X)):
+        assert mg == cone_margin(cone, x)
 
 
 def test_solver_cap_raises_nonconvergence(monkeypatch):
