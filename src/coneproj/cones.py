@@ -5,6 +5,8 @@ cones (m independent generators in R^m), polyhedral cones in halfspace or
 generator form, the Lorentz cone (last coordinate bounds the Euclidean norm
 of the rest), and the monotone nonnegative cone x1 >= ... >= xm >= 0.
 
+Each family is a frozen dataclass carrying its behaviour as private _Cone
+methods, which the module-level functions call after checking their input.
 Generators and facet normals are stored unit length; duplicate directions
 are merged.  All values are immutable after construction.
 """
@@ -13,10 +15,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
+from scipy.special import ndtri
 
 from .kernels import (
     DEFAULT_MARGIN,
@@ -26,6 +29,7 @@ from .kernels import (
     _row_norms,
     _rows_times,
     lp_feasible,
+    pava,
 )
 
 MEMBERSHIP_TOL = 1e-9
@@ -75,24 +79,92 @@ class Hyperplane:
         n = float(np.linalg.norm(u))
         if n == 0.0:
             raise ConeFormatError("hyperplane normal must be nonzero")
-        object.__setattr__(self, "normal", u / n)
+        # Idempotent: a normal already unit length is left untouched bit-for-bit.
+        object.__setattr__(self, "normal", u if abs(n - 1.0) < 1e-12 else u / n)
         object.__setattr__(self, "anchor", np.asarray(self.anchor, dtype=float))
 
 
+class _Cone:
+    """Behaviour of one cone family, behind the module-level functions.
+
+    A family overrides what it supports; an operation it lacks raises
+    UnsupportedConeError from the defaults here.  Row kernels map a (B, m)
+    array to one result per row, row i depending on row i alone; None where
+    a solver is needed.
+    """
+
+    _project_rows = None  # (B, m) points -> (B, m) projections
+    _margin_rows = None  # (B, m) points -> (B,) margins
+
+    @property
+    def _generators(self):
+        raise UnsupportedConeError(f"no generator representation for {type(self).__name__}")
+
+    @property
+    def _facet_normals(self):
+        raise UnsupportedConeError(f"facet enumeration unavailable for {type(self).__name__}")
+
+    def _project(self, x):
+        """(projection of x, active facet set or None, solver iterations)."""
+        return self._project_rows(x[None, :])[0], None, 0
+
+    def _margin(self, x):
+        return float(self._margin_rows(x[None, :])[0])
+
+    def _sign_flip(self, eps):
+        raise UnsupportedConeError("sign flips apply to orthant and simplicial cones")
+
+    def _is_proper(self):
+        return True
+
+    def _directions(self, scale):
+        """Words per trial and a map (B, words) uniforms -> directions in the cone,
+        d = V (scale * -log u) on the generators V; None to sample by rejection."""
+        W = -scale * self._generators.T
+        return W.shape[0], lambda u: _rows_times(np.log(u), W)
+
+
 @dataclass(frozen=True)
-class Orthant:
+class Orthant(_Cone):
     dim: int
+
+    _type = "orthant"
+    _dual = property(lambda self: self)  # self-dual
 
     def __post_init__(self):
         if self.dim < 1:
             raise ConeFormatError("orthant dimension must be positive")
 
+    @property
+    def _generators(self):
+        return np.eye(self.dim)
+
+    @property
+    def _facet_normals(self):
+        return -np.eye(self.dim)
+
+    def _project_rows(self, X):
+        return np.maximum(X, 0.0)
+
+    def _margin_rows(self, X):
+        return X.min(axis=1)
+
+    def _project(self, x):
+        active = frozenset(int(i) for i in np.flatnonzero(x <= 0.0))
+        return self._project_rows(x[None, :])[0], active, 0
+
+    def _sign_flip(self, eps):
+        return SignedOrthant(epsilon=eps)
+
 
 @dataclass(frozen=True)
-class SignedOrthant:
+class SignedOrthant(_Cone):
     """Orthant reflected by a sign vector: {x : epsilon_i * x_i >= 0}."""
 
     epsilon: np.ndarray
+
+    _type = "signed_orthant"
+    _dual = property(lambda self: self)  # self-dual
 
     def __post_init__(self):
         eps = np.asarray(self.epsilon, dtype=float)
@@ -104,12 +176,36 @@ class SignedOrthant:
     def dim(self):
         return int(self.epsilon.size)
 
+    @property
+    def _generators(self):
+        return np.diag(self.epsilon)
+
+    @property
+    def _facet_normals(self):
+        return -np.diag(self.epsilon)
+
+    def _project_rows(self, X):
+        eps = self.epsilon
+        return eps * np.maximum(eps * X, 0.0)
+
+    def _margin_rows(self, X):
+        return (self.epsilon * X).min(axis=1)
+
+    def _project(self, x):
+        active = frozenset(int(i) for i in np.flatnonzero(self.epsilon * x <= 0.0))
+        return self._project_rows(x[None, :])[0], active, 0
+
+    def _sign_flip(self, eps):
+        return SignedOrthant(epsilon=self.epsilon * eps)
+
 
 @dataclass(frozen=True)
-class Simplicial:
+class Simplicial(_Cone):
     """Cone of nonnegative combinations of m independent columns in R^m."""
 
     columns: np.ndarray
+
+    _type = "simplicial"
 
     def __post_init__(self):
         E = np.asarray(self.columns, dtype=float)
@@ -140,13 +236,55 @@ class Simplicial:
         F.flags.writeable = False
         return F
 
+    @property
+    def _generators(self):
+        return self.columns
+
+    @property
+    def _facet_normals(self):
+        normals = -self.inverse  # negated dual generators, as rows
+        return normals / np.linalg.norm(normals, axis=1)[:, None]
+
+    @property
+    def _project_rows(self):
+        return self._orthonormal_rows if self.orthonormal else None
+
+    def _orthonormal_rows(self, X):
+        """E max(E^T x, 0): the projection when the columns E are orthonormal."""
+        E = self.columns
+        return _rows_times(np.maximum(_rows_times(X, E), 0.0), E.T)
+
+    def _margin_rows(self, X):
+        return _rows_times(X, self.inverse.T).min(axis=1)
+
+    def _project(self, x):
+        E = self.columns
+        if self.orthonormal:
+            row = x[None, :]
+            p = self._orthonormal_rows(row)[0]
+            lam = _rows_times(row, E)[0]  # unclamped: <= 0 where clamped to 0
+            iterations = 0
+        else:
+            lam, iterations = _lawson_hanson(E, x)
+            p = E @ lam
+        return p, frozenset(int(i) for i in np.flatnonzero(lam <= 0.0)), iterations
+
+    @cached_property
+    def _dual(self):
+        return Simplicial(columns=self.inverse.T)
+
+    def _sign_flip(self, eps):
+        return Simplicial(columns=self.columns * eps)
+
 
 @dataclass(frozen=True)
-class PolyhedralH:
+class PolyhedralH(_Cone):
     """Cone {x : <u_i, x> <= 0} given by facet normals u_i (rows)."""
 
     dim: int
     normals: np.ndarray
+
+    _type = "halfspaces"
 
     def __post_init__(self):
         U = np.asarray(self.normals, dtype=float)
@@ -159,13 +297,49 @@ class PolyhedralH:
         U = _dedupe_unit_rows(U / norms[:, None])
         object.__setattr__(self, "normals", U)
 
+    @property
+    def _facet_normals(self):
+        return self.normals
+
+    def _margin_rows(self, X):
+        return -_rows_times(X, self.normals.T).max(axis=1)
+
+    def _project(self, x):
+        # Moreau with the polar cone, generated by the normals: p = x - U^T mu.
+        U = self.normals
+        mu, iterations = _lawson_hanson(U.T, x)
+        p = x - U.T @ mu
+        vals = U @ p
+        active = frozenset(
+            int(i) for i in np.flatnonzero(vals >= -1e-9 * np.max(np.abs(x)))
+        )
+        return p, active, iterations
+
+    @cached_property
+    def _dual(self):
+        return PolyhedralV(dim=self.dim, generators=-self.normals.T)
+
+    def _is_proper(self):
+        U = self.normals
+        if np.linalg.matrix_rank(U, tol=RANK_RTOL) < self.dim:
+            return False  # dual not generating, so the cone is not pointed
+        res = lp_feasible([(u, -1.0, "<=") for u in U], margin=DEFAULT_MARGIN)
+        if res.status == "indeterminate":
+            raise IndeterminateError("interior LP indeterminate")
+        return res.status == "feasible"
+
+    def _directions(self, scale):
+        return None  # no generators: directions are drawn by rejection
+
 
 @dataclass(frozen=True)
-class PolyhedralV:
+class PolyhedralV(_Cone):
     """Cone of nonnegative combinations of the generator columns."""
 
     dim: int
     generators: np.ndarray
+
+    _type = "generators"
 
     def __post_init__(self):
         V = np.asarray(self.generators, dtype=float)
@@ -175,27 +349,119 @@ class PolyhedralV:
         V = _dedupe_unit_rows(V.T).T
         object.__setattr__(self, "generators", V)
 
+    @property
+    def _generators(self):
+        return self.generators
+
+    def _margin(self, x):
+        V = self.generators
+        lam, _ = _lawson_hanson(V, x)
+        return float(-np.linalg.norm(x - V @ lam))
+
+    def _project(self, x):
+        lam, iterations = _lawson_hanson(self.generators, x)
+        return self.generators @ lam, None, iterations
+
+    @cached_property
+    def _dual(self):
+        return PolyhedralH(dim=self.dim, normals=-self.generators.T)
+
+    def _is_proper(self):
+        V = self.generators
+        if np.linalg.matrix_rank(V, tol=RANK_RTOL) < self.dim:
+            return False  # not generating
+        res = lp_feasible([(v, 1.0, ">=") for v in V.T], margin=DEFAULT_MARGIN)
+        if res.status == "indeterminate":
+            raise IndeterminateError("pointedness LP indeterminate")
+        return res.status == "feasible"
+
 
 @dataclass(frozen=True)
-class Lorentz:
+class Lorentz(_Cone):
     """Ice cream cone {(xbar, t) : t >= ||xbar||}; t is the last coordinate."""
 
     dim: int
+
+    _type = "lorentz"
+    _dual = property(lambda self: self)  # self-dual
 
     def __post_init__(self):
         if self.dim < 2:
             raise ConeFormatError("Lorentz cone requires dim >= 2")
 
+    @property
+    def _generators(self):
+        if self.dim != 2:
+            return super()._generators
+        # The 2-dimensional Lorentz cone is the simplicial cone on (1,1), (-1,1).
+        return _as_unit_columns(np.array([[1.0, -1.0], [1.0, 1.0]]))
+
+    @property
+    def _facet_normals(self):
+        if self.dim != 2:
+            return super()._facet_normals
+        return -self._generators.T  # orthonormal generators: inverse = transpose
+
+    def _project_rows(self, X):
+        t = X[:, -1]
+        nx = _row_norms(X[:, :-1])
+        # alpha = (t + ||xbar||) / 2 clamped at 0.  A row inside the cone
+        # (alpha >= ||xbar||) stays; otherwise xbar scales by alpha / ||xbar||,
+        # which is 0 at the apex, and t becomes alpha.
+        alpha = np.maximum(0.5 * (t + nx), 0.0)
+        P = X * np.divide(alpha, nx, out=np.ones_like(nx), where=alpha < nx)[:, None]
+        P[:, -1] = np.maximum(alpha, t)
+        return P
+
+    def _margin_rows(self, X):
+        return X[:, -1] - _row_norms(X[:, :-1])
+
+    def _directions(self, scale):
+        # z = scale * ndtri(u) in the first m - 1 coordinates, ||z|| + scale * -log u last.
+        def directions(u):
+            z = scale * ndtri(u[:, :-1])
+            extra = -scale * np.log(u[:, -1])
+            return np.column_stack([z, _row_norms(z) + extra])
+
+        return self.dim, directions
+
 
 @dataclass(frozen=True)
-class MonotoneNonneg:
+class MonotoneNonneg(_Cone):
     """Cone {x : x_1 >= x_2 >= ... >= x_m >= 0}."""
 
     dim: int
 
+    _type = "monotone_nonneg"
+
     def __post_init__(self):
         if self.dim < 1:
             raise ConeFormatError("dimension must be positive")
+
+    @cached_property
+    def _generators(self):
+        E = monotone_generators(self.dim)
+        E.flags.writeable = False  # shared by every caller
+        return E
+
+    @property
+    def _facet_normals(self):
+        # x_i - x_{i+1} >= 0 for i < m, and x_m >= 0.
+        m = self.dim
+        rows = (np.eye(m, k=1) - np.eye(m))[:-1] / np.sqrt(2.0)
+        last = np.zeros((1, m))
+        last[0, -1] = -1.0
+        return np.vstack([rows, last])
+
+    def _margin_rows(self, X):
+        return np.minimum((X[:, :-1] - X[:, 1:]).min(axis=1, initial=np.inf), X[:, -1])
+
+    def _project(self, x):
+        return np.maximum(pava(x), 0.0), None, 0
+
+    @cached_property
+    def _dual(self):
+        return Simplicial(columns=np.linalg.inv(self._generators).T)
 
 
 ConeSpec = (
@@ -204,15 +470,11 @@ ConeSpec = (
 )
 
 
-def dim_of(cone):
-    return int(cone.dim)
-
-
 def _check_dim(cone, x):
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size != dim_of(cone):
+    if x.ndim != 1 or x.size != cone.dim:
         raise DimensionMismatchError(
-            f"vector of size {x.size} vs cone dimension {dim_of(cone)}"
+            f"vector of size {x.size} vs cone dimension {cone.dim}"
         )
     # Runs on every projection and margin: on vectors this short a loop over
     # Python floats is several times cheaper than np.isfinite.
@@ -229,44 +491,7 @@ def monotone_generators(m):
 
 def generator_matrix(cone):
     """V-representation (unit generator columns) where one is available."""
-    if isinstance(cone, Orthant):
-        return np.eye(cone.dim)
-    if isinstance(cone, SignedOrthant):
-        return np.diag(cone.epsilon)
-    if isinstance(cone, Simplicial):
-        return cone.columns
-    if isinstance(cone, PolyhedralV):
-        return cone.generators
-    if isinstance(cone, MonotoneNonneg):
-        return monotone_generators(cone.dim)
-    if isinstance(cone, Lorentz) and cone.dim == 2:
-        # The 2-dimensional Lorentz cone is the simplicial cone on (1,1), (-1,1).
-        return _as_unit_columns(np.array([[1.0, -1.0], [1.0, 1.0]]))
-    raise UnsupportedConeError(f"no generator representation for {type(cone).__name__}")
-
-
-def _margin_rows(cone):
-    """cone_margin of each row of a (B, m) array, as a function (B, m) -> (B,).
-
-    None for generator cones, whose margin needs an NNLS solve per row.
-    """
-    if isinstance(cone, Orthant):
-        return lambda X: X.min(axis=1)
-    if isinstance(cone, SignedOrthant):
-        eps = cone.epsilon
-        return lambda X: (eps * X).min(axis=1)
-    if isinstance(cone, Lorentz):
-        return lambda X: X[:, -1] - _row_norms(X[:, :-1])
-    if isinstance(cone, MonotoneNonneg):
-        return lambda X: np.minimum(
-            (X[:, :-1] - X[:, 1:]).min(axis=1, initial=np.inf), X[:, -1])
-    if isinstance(cone, PolyhedralH):
-        Ut = cone.normals.T
-        return lambda X: -_rows_times(X, Ut).max(axis=1)
-    if isinstance(cone, Simplicial):
-        Ft = cone.inverse.T
-        return lambda X: _rows_times(X, Ft).min(axis=1)
-    return None
+    return cone._generators
 
 
 def cone_margin(cone, x):
@@ -276,15 +501,7 @@ def cone_margin(cone, x):
     generator families report coefficient or NNLS-residual margins.  The sign
     is what matters; magnitudes are family-specific.
     """
-    x = _check_dim(cone, x)
-    rows = _margin_rows(cone)
-    if rows is not None:
-        return float(rows(x[None, :])[0])
-    if isinstance(cone, PolyhedralV):
-        V = cone.generators
-        lam, _ = _lawson_hanson(V, x)
-        return float(-np.linalg.norm(x - V @ lam))
-    raise UnsupportedConeError(type(cone).__name__)
+    return cone._margin(_check_dim(cone, x))
 
 
 def membership(cone, x, tol=MEMBERSHIP_TOL):
@@ -292,45 +509,28 @@ def membership(cone, x, tol=MEMBERSHIP_TOL):
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     x = _check_dim(cone, x)
-    scale = 1.0 + float(np.linalg.norm(x))
-    return cone_margin(cone, x) >= -tol * scale
+    # hypot: the norm of a finite vector stays finite at every scale.
+    return cone_margin(cone, x) >= -tol * (1.0 + math.hypot(*x.tolist()))
 
 
 def dual(cone):
     """Dual cone K* = {y : <x, y> >= 0 for all x in K} in the same families."""
-    if isinstance(cone, (Orthant, SignedOrthant, Lorentz)):
-        return cone  # self-dual
-    if isinstance(cone, Simplicial):
-        return Simplicial(columns=cone.inverse.T)
-    if isinstance(cone, MonotoneNonneg):
-        F = np.linalg.inv(monotone_generators(cone.dim)).T
-        return Simplicial(columns=F)
-    if isinstance(cone, PolyhedralV):
-        return PolyhedralH(dim=cone.dim, normals=-cone.generators.T)
-    if isinstance(cone, PolyhedralH):
-        return PolyhedralV(dim=cone.dim, generators=-cone.normals.T)
-    raise UnsupportedConeError(type(cone).__name__)
+    return cone._dual
 
 
 def sign_flip(cone, eps):
     """Reflected cone with generators e_i replaced by eps_i * e_i."""
     eps = np.asarray(eps, dtype=float)
-    if eps.size != dim_of(cone):
+    if eps.size != cone.dim:
         raise DimensionMismatchError("sign vector dimension mismatch")
     if not np.all(np.abs(eps) == 1.0):
         raise ConeFormatError("sign vector entries must be +1 or -1")
-    if isinstance(cone, Orthant):
-        return SignedOrthant(epsilon=eps)
-    if isinstance(cone, SignedOrthant):
-        return SignedOrthant(epsilon=cone.epsilon * eps)
-    if isinstance(cone, Simplicial):
-        return Simplicial(columns=cone.columns * eps)
-    raise UnsupportedConeError("sign flips apply to orthant and simplicial cones")
+    return cone._sign_flip(eps)
 
 
 def gram(E):
     """Gram matrix of generator columns: G_ij = <e_i, e_j>."""
-    if isinstance(E, ConeSpec):
+    if isinstance(E, _Cone):
         E = generator_matrix(E)
     E = np.asarray(E, dtype=float)
     return E.T @ E
@@ -341,82 +541,42 @@ def is_proper(cone, tol=MEMBERSHIP_TOL):
 
     Raises IndeterminateError when an LP subproblem cannot decide.
     """
-    if isinstance(cone, (Orthant, SignedOrthant, Simplicial, Lorentz, MonotoneNonneg)):
-        return True
-    if isinstance(cone, PolyhedralV):
-        V = cone.generators
-        if np.linalg.matrix_rank(V, tol=RANK_RTOL) < cone.dim:
-            return False  # not generating
-        res = lp_feasible(
-            [(v, 1.0, ">=") for v in V.T], margin=DEFAULT_MARGIN
-        )
-        if res.status == "indeterminate":
-            raise IndeterminateError("pointedness LP indeterminate")
-        return res.status == "feasible"
-    if isinstance(cone, PolyhedralH):
-        U = cone.normals
-        if np.linalg.matrix_rank(U, tol=RANK_RTOL) < cone.dim:
-            return False  # dual not generating, so the cone is not pointed
-        res = lp_feasible(
-            [(u, -1.0, "<=") for u in U], margin=DEFAULT_MARGIN
-        )
-        if res.status == "indeterminate":
-            raise IndeterminateError("interior LP indeterminate")
-        return res.status == "feasible"
-    raise UnsupportedConeError(type(cone).__name__)
-
-
-def facets(cone):
-    """Minimal unit facet normals through 0 with K = intersection of H_-(u_i, 0)."""
-    m = dim_of(cone)
-    zero = np.zeros(m)
-    if isinstance(cone, Orthant):
-        normals = -np.eye(m)
-    elif isinstance(cone, SignedOrthant):
-        normals = -np.diag(cone.epsilon)
-    elif isinstance(cone, Simplicial):
-        normals = -cone.inverse  # negated dual generators, as rows
-        normals = normals / np.linalg.norm(normals, axis=1)[:, None]
-    elif isinstance(cone, MonotoneNonneg):
-        if m == 1:
-            normals = np.array([[-1.0]])
-        else:
-            rows = []
-            for i in range(m - 1):
-                r = np.zeros(m)
-                r[i] = -1.0
-                r[i + 1] = 1.0
-                rows.append(r / np.sqrt(2.0))
-            last = np.zeros(m)
-            last[-1] = -1.0
-            rows.append(last)
-            normals = np.array(rows)
-    elif isinstance(cone, PolyhedralH):
-        normals = cone.normals
-    else:
-        raise UnsupportedConeError(
-            f"facet enumeration unavailable for {type(cone).__name__}"
-        )
-    return [Hyperplane(normal=u, anchor=zero) for u in normals]
+    return cone._is_proper()
 
 
 def facet_normals(cone):
-    """Facet normals as a (k, m) array; see facets()."""
-    return np.array([h.normal for h in facets(cone)])
+    """Minimal unit facet normals u_i, as rows, with K = {x : <u_i, x> <= 0}."""
+    return np.array([u / float(np.linalg.norm(u)) for u in cone._facet_normals])
+
+
+def facets(cone):
+    """The facet hyperplanes through 0 with the normals of facet_normals()."""
+    zero = np.zeros(cone.dim)
+    return [Hyperplane(normal=u, anchor=zero) for u in facet_normals(cone)]
 
 
 # ---------------------------------------------------------------------------
 # Cone description files (UTF-8 JSON)
 
-_REQUIRED_FIELDS = {
-    "orthant": {"dim"},
-    "signed_orthant": {"epsilon"},
-    "simplicial": {"columns"},
-    "halfspaces": {"dim", "normals"},
-    "generators": {"dim", "generators"},
-    "lorentz": {"dim"},
-    "monotone_nonneg": {"dim"},
+
+def _json_int(value):
+    # bool is an int subclass; a float such as 3.7 must not be truncated.
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConeFormatError(f"dim must be an integer, got {value!r}")
+    return int(value)
+
+
+# Each dataclass field as (from JSON, to JSON); generator matrices list one generator per entry.
+_JSON_FIELDS = {
+    "dim": (_json_int, lambda d: d),
+    "epsilon": (lambda v: np.asarray(v, dtype=float), lambda eps: [int(e) for e in eps]),
+    "columns": (lambda v: np.asarray(v, dtype=float).T, lambda E: E.T.tolist()),
+    "normals": (lambda v: np.asarray(v, dtype=float), lambda U: U.tolist()),
+    "generators": (lambda v: np.asarray(v, dtype=float).T, lambda V: V.T.tolist()),
 }
+
+_FAMILIES = {cls._type: cls for cls in (Orthant, SignedOrthant, Simplicial, PolyhedralH,
+                                         PolyhedralV, Lorentz, MonotoneNonneg)}
 
 
 def cone_from_dict(data):
@@ -424,59 +584,28 @@ def cone_from_dict(data):
     if not isinstance(data, dict):
         raise ConeFormatError("cone description must be a JSON object")
     kind = data.get("type")
-    if kind not in _REQUIRED_FIELDS:
+    if kind not in _FAMILIES:
         raise ConeFormatError(f"unknown cone type {kind!r}")
-    fields = set(data) - {"type"}
-    required = _REQUIRED_FIELDS[kind]
-    if fields != required:
+    cls = _FAMILIES[kind]
+    required = [f.name for f in fields(cls)]
+    given = set(data) - {"type"}
+    if given != set(required):
         raise ConeFormatError(
             f"cone type {kind!r} requires exactly fields {sorted(required)}, "
-            f"got {sorted(fields)}"
+            f"got {sorted(given)}"
         )
     try:
-        if kind == "orthant":
-            return Orthant(dim=int(data["dim"]))
-        if kind == "signed_orthant":
-            return SignedOrthant(epsilon=np.asarray(data["epsilon"], dtype=float))
-        if kind == "simplicial":
-            return Simplicial(columns=np.asarray(data["columns"], dtype=float).T)
-        if kind == "halfspaces":
-            return PolyhedralH(
-                dim=int(data["dim"]), normals=np.asarray(data["normals"], dtype=float)
-            )
-        if kind == "generators":
-            return PolyhedralV(
-                dim=int(data["dim"]),
-                generators=np.asarray(data["generators"], dtype=float).T,
-            )
-        if kind == "lorentz":
-            return Lorentz(dim=int(data["dim"]))
-        return MonotoneNonneg(dim=int(data["dim"]))
+        return cls(**{name: _JSON_FIELDS[name][0](data[name]) for name in required})
     except (TypeError, ValueError) as exc:
         raise ConeFormatError(str(exc)) from exc
 
 
 def cone_to_dict(cone):
     """JSON-serializable description of a cone (inverse of cone_from_dict)."""
-    if isinstance(cone, Orthant):
-        return {"type": "orthant", "dim": cone.dim}
-    if isinstance(cone, SignedOrthant):
-        return {"type": "signed_orthant", "epsilon": [int(e) for e in cone.epsilon]}
-    if isinstance(cone, Simplicial):
-        return {"type": "simplicial", "columns": cone.columns.T.tolist()}
-    if isinstance(cone, PolyhedralH):
-        return {"type": "halfspaces", "dim": cone.dim, "normals": cone.normals.tolist()}
-    if isinstance(cone, PolyhedralV):
-        return {
-            "type": "generators",
-            "dim": cone.dim,
-            "generators": cone.generators.T.tolist(),
-        }
-    if isinstance(cone, Lorentz):
-        return {"type": "lorentz", "dim": cone.dim}
-    if isinstance(cone, MonotoneNonneg):
-        return {"type": "monotone_nonneg", "dim": cone.dim}
-    raise UnsupportedConeError(type(cone).__name__)
+    out = {"type": cone._type}
+    for f in fields(cone):
+        out[f.name] = _JSON_FIELDS[f.name][1](getattr(cone, f.name))
+    return out
 
 
 def load_cone(path):

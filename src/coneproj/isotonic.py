@@ -21,13 +21,8 @@ from scipy.special import ndtri
 
 from .cones import (
     DimensionMismatchError,
-    Lorentz,
-    PolyhedralH,
-    Simplicial,
     UnsupportedConeError,
-    _margin_rows,
     cone_margin,
-    dim_of,
     dual,
     facet_normals,
     generator_matrix,
@@ -35,8 +30,8 @@ from .cones import (
     is_proper,
     membership,
 )
-from .kernels import IndeterminateError, _row_norms, _rows_times, lp_feasible
-from .projections import _closed_form, project
+from .kernels import IndeterminateError, lp_feasible
+from .projections import project
 
 DEFAULT_TOL = 1e-9
 
@@ -230,19 +225,6 @@ def triple_obstruction(K, tol=DEFAULT_TOL):
     return None
 
 
-def _h_rep(cone):
-    """Facet normals, widening 2D Lorentz cones to their simplicial form."""
-    if isinstance(cone, Lorentz) and cone.dim == 2:
-        cone = Simplicial(columns=generator_matrix(cone))
-    return facet_normals(cone)
-
-
-def _v_rep(cone):
-    if isinstance(cone, Lorentz) and cone.dim > 2:
-        raise UnsupportedConeError("no finite generator form for the Lorentz cone")
-    return generator_matrix(cone)
-
-
 def certify_necessary(K, L, tol=DEFAULT_TOL):
     """Check the necessary conditions for P_K to be L-isotone.
 
@@ -254,11 +236,10 @@ def certify_necessary(K, L, tol=DEFAULT_TOL):
     """
     if not is_proper(K) or not is_proper(L):
         raise ValueError("certify_necessary requires proper cones")
-    GK = _v_rep(K)
-    GL = _v_rep(L)
-    UL = _h_rep(L)
-    Ldual = dual(L)
-    ULdual = _h_rep(Ldual)
+    GK = generator_matrix(K)
+    GL = generator_matrix(L)
+    UL = facet_normals(L)
+    ULdual = facet_normals(dual(L))
 
     k_in_l = all(membership(L, GK[:, j], tol) for j in range(GK.shape[1]))
     l_in_k_dual = bool(np.min(GK.T @ GL) >= -tol)
@@ -289,7 +270,7 @@ def orthant_isotone_recognize(K, tol=DEFAULT_TOL):
     R^m then has at most m(m-1) facets.
     """
     U = facet_normals(K)
-    m = dim_of(K)
+    m = K.dim
     offending = None
     for u in U:
         nz = np.flatnonzero(np.abs(u) > tol)
@@ -316,9 +297,9 @@ def alternatives_check(K, tol=DEFAULT_TOL):
         raise ValueError("alternatives_check requires a proper cone")
     if not orthant_isotone_recognize(K, tol).isotone:
         raise ValueError("alternatives_check requires a coordinatewise-isotone cone")
-    GK = _v_rep(K)
+    GK = generator_matrix(K)
     in_orthant = bool(np.min(GK) >= -tol)
-    m = dim_of(K)
+    m = K.dim
     eye = np.eye(m)
     cons = [(g, 0.0, ">=") for g in GK.T] + [(eye[i], 0.0, ">=") for i in range(m)]
     res = lp_feasible(cons)
@@ -376,50 +357,22 @@ def _uniforms(words):
     return u
 
 
-def _halfspace_direction(U, seed, scale, t):
-    """Direction in {d : U d <= 0} for trial t, as a (1, m) array.
+def _halfspace_direction(L, seed, scale, t):
+    """Direction in L for trial t by rejection from the cube, as a (1, m) array.
 
-    Candidate j is scale * (2u - 1) for the first m of the W words (m
-    rounded up to a multiple of 4) that follow counter ((t-1) * W/4, j, 0, 0)
-    of the stream keyed (seed, 1); the first candidate inside the cone is
-    taken.  Raises SamplingError after 1000 rejected candidates.
+    Candidate j is scale * (2u - 1) for the first m of the W words (m rounded
+    up to a multiple of 4) that follow counter ((t-1) * W/4, j, 0, 0) of the
+    stream keyed (seed, 1); the first candidate inside L is taken.  Raises
+    SamplingError after 1000 rejected candidates.
     """
-    m = U.shape[1]
+    m = L.dim
     width = -(-m // 4) * 4
     for j in range(1000):
         words = _words(seed, 1, ((t - 1) * width // 4, j, 0, 0), width)
         cand = scale * (2.0 * _uniforms(words[None, :m]) - 1.0)
-        if _rows_times(cand, U.T).max() <= 0.0:
+        if L._margin_rows(cand)[0] >= 0.0:
             return cand
     raise SamplingError("rejection sampling failed for the halfspace cone")
-
-
-def _direction_sampler(L, seed, scale):
-    """Words per trial and a map (uniforms (B, words), first trial) -> directions in L.
-
-    The halfspace sampler serves blocks of one trial only.
-    """
-    m = dim_of(L)
-    if isinstance(L, Lorentz):
-
-        def directions(u, first):
-            z = scale * ndtri(u[:, :-1])
-            extra = -scale * np.log(u[:, -1])
-            return np.column_stack([z, _row_norms(z) + extra])
-
-        return m, directions
-    if isinstance(L, PolyhedralH):
-
-        def directions(u, first):
-            return _halfspace_direction(L.normals, seed, scale, first)
-
-        return 0, directions
-    W = -scale * generator_matrix(L).T  # d = V (scale * -log u)
-
-    def directions(u, first):
-        return _rows_times(np.log(u), W)
-
-    return W.shape[0], directions
 
 
 def falsify(K, L, cfg=FalsifierConfig()):
@@ -435,16 +388,15 @@ def falsify(K, L, cfg=FalsifierConfig()):
     index.  Returns None when no violation shows up within the budget;
     absence of a counterexample proves nothing.
     """
-    if dim_of(K) != dim_of(L):
+    if K.dim != L.dim:
         raise DimensionMismatchError("K and L dimensions disagree")
-    m = dim_of(K)
-    n_dir, directions = _direction_sampler(L, cfg.seed, cfg.scale)
+    m = K.dim
+    # Orders with no sampler of their own draw d by rejection, one trial at a time.
+    n_dir, directions = L._directions(cfg.scale) or (0, None)
     width = -(-(m + n_dir) // 4) * 4
-    project_rows = _closed_form(K)
-    margin_rows = _margin_rows(L)
-    # Rejection sampling draws halfspace directions one trial at a time.
-    grow = (project_rows is not None and margin_rows is not None
-            and not isinstance(L, PolyhedralH))
+    project_rows = K._project_rows
+    margin_rows = L._margin_rows
+    grow = project_rows is not None and margin_rows is not None and directions is not None
     if project_rows is None:
 
         def project_rows(X):
@@ -461,7 +413,8 @@ def falsify(K, L, cfg=FalsifierConfig()):
         count = min(size, cfg.trials - t + 1)
         counter = ((t - 1) * width // 4, 0, 0, 0)
         u = _uniforms(_words(cfg.seed, 0, counter, count * width).reshape(count, width))
-        d = directions(u[:, m:m + n_dir], t)
+        d = (directions(u[:, m:m + n_dir]) if directions is not None
+             else _halfspace_direction(L, cfg.seed, cfg.scale, t))
         x = cfg.scale * ndtri(u[:, :m])
         xy = np.concatenate([x, x + d])
         p = project_rows(xy)
@@ -512,7 +465,7 @@ def verify_certificate(cert, K, L=None, tol=DEFAULT_TOL):
             px = project(K, cert.x).point
             py = project(K, cert.y).point
             v = py - px
-            scale = 1.0 + float(np.linalg.norm(v))
+            scale = 1.0 + math.hypot(*v.tolist())
             return cone_margin(L, v) < -10.0 * tol * scale
         if isinstance(cert, ContainmentReport):
             if L is None:

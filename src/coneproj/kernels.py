@@ -1,4 +1,4 @@
-"""Dense numerical kernels: nonnegative least squares and LP feasibility.
+"""Dense numerical kernels: NNLS, isotonic regression (PAVA) and LP feasibility.
 
 All kernels are deterministic and operate on small dense problems (tens of
 dimensions).  They back the cone projection and certification layers.
@@ -61,6 +61,27 @@ def _rows_times(X, M):
 def _row_norms(X):
     """Euclidean norm of each row of a (B, n) array, without overflow."""
     return np.hypot.reduce(X, axis=1, initial=0.0)
+
+
+def pava(y):
+    """Nonincreasing isotonic regression of y by pool-adjacent-violators.
+
+    Returns the Euclidean projection of y onto {x : x_1 >= x_2 >= ... >= x_m}.
+    """
+    y = np.asarray(y, dtype=float)
+    # Blocks of (mean, count), merged while the nonincreasing order is violated.
+    means = []
+    counts = []
+    for v in y:
+        means.append(float(v))
+        counts.append(1)
+        while len(means) > 1 and means[-2] < means[-1]:
+            total = means[-2] * counts[-2] + means[-1] * counts[-1]
+            counts[-2] += counts[-1]
+            means[-2] = total / counts[-2]
+            means.pop()
+            counts.pop()
+    return np.repeat(means, counts)
 
 
 def _lawson_hanson(A, b, max_iter=None):

@@ -6,34 +6,29 @@ pool-adjacent-violators.  Every other polyhedral cone goes through one exact
 Lawson-Hanson nonnegative least squares solve: on the generators for
 simplicial and generator cones (P_K x = V lambda), and on the transposed
 facet normals for halfspace cones, whose projection follows from Moreau's
-decomposition with the polar cone (P_K x = x - U^T mu).  An exhaustive
-active-set oracle (project_oracle) provides an independent reference for
-validation.
+decomposition with the polar cone (P_K x = x - U^T mu).  Each route is a
+method of its family's class in cones.py, which project() calls.  An
+exhaustive active-set oracle (project_oracle) provides an independent
+reference for validation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .cones import (
     Hyperplane,
     Lorentz,
-    MonotoneNonneg,
-    Orthant,
-    PolyhedralH,
-    PolyhedralV,
-    SignedOrthant,
-    Simplicial,
     UnsupportedConeError,
     _check_dim,
     dual,
     facet_normals,
+    generator_matrix,
 )
-from .kernels import IndeterminateError, _lawson_hanson, _row_norms, _rows_times
+from .kernels import IndeterminateError
 
 ORACLE_MAX_FACETS = 20
 
@@ -56,69 +51,6 @@ def project_hyperplane(h: Hyperplane, x):
     x = np.asarray(x, dtype=float)
     u = h.normal
     return x - (float(u @ x) - float(u @ h.anchor)) * u
-
-
-def pava(y):
-    """Nonincreasing isotonic regression of y by pool-adjacent-violators.
-
-    Returns the Euclidean projection of y onto {x : x_1 >= x_2 >= ... >= x_m}.
-    """
-    y = np.asarray(y, dtype=float)
-    # Blocks of (mean, count), merged while the nonincreasing order is violated.
-    means = []
-    counts = []
-    for v in y:
-        means.append(float(v))
-        counts.append(1)
-        while len(means) > 1 and means[-2] < means[-1]:
-            total = means[-2] * counts[-2] + means[-1] * counts[-1]
-            counts[-2] += counts[-1]
-            means[-2] = total / counts[-2]
-            means.pop()
-            counts.pop()
-    return np.repeat(means, counts)
-
-
-# Row kernels of the closed forms: each maps a (B, m) array of points to the
-# (B, m) array of their projections, row i depending on row i alone.
-
-
-def _clamp_rows(X):
-    return np.maximum(X, 0.0)
-
-
-def _signed_clamp_rows(eps, X):
-    return eps * np.maximum(eps * X, 0.0)
-
-
-def _lorentz_rows(X):
-    t = X[:, -1]
-    nx = _row_norms(X[:, :-1])
-    # alpha = (t + ||xbar||) / 2 clamped at 0.  A row inside the cone
-    # (alpha >= ||xbar||) stays; otherwise xbar scales by alpha / ||xbar||,
-    # which is 0 at the apex, and t becomes alpha.
-    alpha = np.maximum(0.5 * (t + nx), 0.0)
-    P = X * np.divide(alpha, nx, out=np.ones_like(nx), where=alpha < nx)[:, None]
-    P[:, -1] = np.maximum(alpha, t)
-    return P
-
-
-def _orthonormal_rows(E, X):
-    """Projection onto the cone on orthonormal columns E: E max(E^T x, 0)."""
-    return _rows_times(np.maximum(_rows_times(X, E), 0.0), E.T)
-
-
-def _closed_form(cone):
-    """Row kernel of the cone's projection, or None when it needs PAVA or NNLS."""
-    if isinstance(cone, Orthant):
-        return _clamp_rows
-    if isinstance(cone, SignedOrthant):
-        return partial(_signed_clamp_rows, cone.epsilon)
-    if isinstance(cone, Lorentz):
-        return _lorentz_rows
-    if isinstance(cone, Simplicial) and cone.orthonormal:
-        return partial(_orthonormal_rows, cone.columns)
-    return None
 
 
 def _subspace_projection(U_S, x):
@@ -169,20 +101,13 @@ def project_oracle(cone, x):
     facet or generator representation with at most ORACLE_MAX_FACETS rows.
     """
     x = _check_dim(cone, x)
-    if isinstance(cone, PolyhedralV):
-        # Moreau: P_K x = x - P_{K_polar} x with the polar in halfspace form.
-        Upolar = cone.generators.T
-        return x - _oracle_halfspaces(Upolar, x)
-    U = facet_normals(cone)
-    return _oracle_halfspaces(U, x)
-
-
-def _nnls(A, x):
-    """Shared Lawson-Hanson solve; its iteration cap raises NonConvergenceError."""
     try:
-        return _lawson_hanson(A, x)
-    except IndeterminateError as exc:
-        raise NonConvergenceError(str(exc)) from exc
+        U = facet_normals(cone)
+    except UnsupportedConeError:
+        # Moreau: P_K x = x - P_{K_polar} x with the polar in halfspace form.
+        Upolar = generator_matrix(cone).T
+        return x - _oracle_halfspaces(Upolar, x)
+    return _oracle_halfspaces(U, x)
 
 
 def project(cone, x):
@@ -190,45 +115,14 @@ def project(cone, x):
 
     The dual point is P_{K*}(-x) = p - x; the result records the residual,
     the active facet set when the representation exposes one, and the
-    iteration count (0 for closed forms).
+    iteration count (0 for closed forms).  Raises NonConvergenceError when
+    the Lawson-Hanson solve exhausts its iteration cap.
     """
     x = _check_dim(cone, x)
-    iterations = 0
-    active = None
-    row = x[None, :]
-    if isinstance(cone, Orthant):
-        p = _clamp_rows(row)[0]
-        active = frozenset(int(i) for i in np.flatnonzero(x <= 0.0))
-    elif isinstance(cone, SignedOrthant):
-        eps = cone.epsilon
-        p = _signed_clamp_rows(eps, row)[0]
-        active = frozenset(int(i) for i in np.flatnonzero(eps * x <= 0.0))
-    elif isinstance(cone, Lorentz):
-        p = _lorentz_rows(row)[0]
-    elif isinstance(cone, Simplicial):
-        E = cone.columns
-        if cone.orthonormal:
-            p = _orthonormal_rows(E, row)[0]
-            lam = _rows_times(row, E)[0]  # unclamped: <= 0 where clamped to 0
-        else:
-            lam, iterations = _nnls(E, x)
-            p = E @ lam
-        active = frozenset(int(i) for i in np.flatnonzero(lam <= 0.0))
-    elif isinstance(cone, MonotoneNonneg):
-        p = np.maximum(pava(x), 0.0)
-    elif isinstance(cone, PolyhedralH):
-        U = cone.normals
-        mu, iterations = _nnls(U.T, x)
-        p = x - U.T @ mu
-        vals = U @ p
-        active = frozenset(
-            int(i) for i in np.flatnonzero(vals >= -1e-9 * np.max(np.abs(x)))
-        )
-    elif isinstance(cone, PolyhedralV):
-        lam, iterations = _nnls(cone.generators, x)
-        p = cone.generators @ lam
-    else:
-        raise UnsupportedConeError(type(cone).__name__)
+    try:
+        p, active, iterations = cone._project(x)
+    except IndeterminateError as exc:
+        raise NonConvergenceError(str(exc)) from exc
     q = p - x
     return ProjectionResult(
         point=p,

@@ -79,6 +79,13 @@ class TestProject:
         result = runner.invoke(main, ["project", bad, "--point", "1"])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("dim", [3.7, True, "3"])
+    def test_non_integer_dim(self, runner, tmp_path, dim):
+        bad = write_cone(tmp_path, "bad.json", {"type": "orthant", "dim": dim})
+        result = runner.invoke(main, ["project", bad, "--point", "1,-2,3"])
+        assert result.exit_code == 3
+        assert "dim must be an integer" in result.output
+
 
 class TestCertify:
     def test_orthant_self_inconclusive(self, runner, orthant3):
@@ -156,6 +163,12 @@ class TestFalsify:
         a.pop("timing_ms")
         b.pop("timing_ms")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    def test_huge_scale_refuted(self, runner, orthant2, lorentz2):
+        result = runner.invoke(main, ["falsify", orthant2, lorentz2, "--trials", "1000",
+                                      "--seed", "42", "--scale", "1e160"])
+        assert result.exit_code == 1
+        assert report_of(result)["verdict"] == "refuted"
 
     def test_dim_mismatch(self, runner, orthant3, lorentz2):
         result = runner.invoke(main, ["falsify", orthant3, lorentz2])

@@ -57,6 +57,15 @@ class TestMembership:
         assert membership(MonotoneNonneg(3), np.array([3.0, 2.0, 2.0]))
         assert not membership(MonotoneNonneg(3), np.array([1.0, 2.0, 0.0]))
 
+    def test_huge_scale(self):
+        # The slack tol * (1 + ||x||) must not overflow to inf and admit x.
+        t = 2.0 * np.pi * np.arange(8) / 8
+        K = PolyhedralH(3, np.column_stack([np.cos(t), np.sin(t), -np.ones(8)]))
+        x = np.array([2.0, 0.5, 0.3])
+        assert not membership(K, x)
+        assert not membership(K, 1e200 * x)
+        assert membership(K, 1e200 * np.array([0.0, 0.0, 1.0]))
+
 
 class TestDual:
     def test_orthant_self_dual(self):
@@ -217,6 +226,15 @@ class TestFacets:
         with pytest.raises(UnsupportedConeError):
             facets(Lorentz(3))
 
+    def test_lorentz2(self):
+        # The 2-dimensional Lorentz cone is simplicial: both representations exist.
+        U = facet_normals(Lorentz(2))
+        prods = U @ generator_matrix(Lorentz(2))
+        assert np.max(prods) <= 1e-12
+        for row in prods:
+            assert np.sum(np.abs(row) < 1e-10) == 1
+        assert same_generator_sets(np.array([h.normal for h in facets(Lorentz(2))]).T, U.T)
+
 
 class TestConeFiles:
     CASES = [
@@ -248,6 +266,15 @@ class TestConeFiles:
     def test_unknown_type(self):
         with pytest.raises(ConeFormatError):
             cone_from_dict({"type": "icosahedral", "dim": 3})
+
+    @pytest.mark.parametrize("dim", [3.7, 3.0, True, "3"])
+    def test_non_integer_dim_rejected(self, dim):
+        with pytest.raises(ConeFormatError, match="integer"):
+            cone_from_dict({"type": "orthant", "dim": dim})
+
+    def test_non_integer_dim_rejected_with_matrix(self):
+        with pytest.raises(ConeFormatError, match="integer"):
+            cone_from_dict({"type": "halfspaces", "dim": 2.0, "normals": [[-1.0, 0.0]]})
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -286,3 +313,69 @@ class TestValidation:
         V = generator_matrix(Lorentz(2))
         s = 1 / np.sqrt(2)
         assert same_generator_sets(V, np.array([[s, -s], [s, s]]))
+
+
+# One cone per family, with both Lorentz dimensions and both kinds of
+# simplicial cone (orthonormal, skew).
+_RING = 2.0 * np.pi * np.arange(5) / 5
+PROTOCOL_CONES = [
+    Orthant(3),
+    SignedOrthant(np.array([1.0, -1.0, 1.0])),
+    Simplicial(np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]),
+    Simplicial(np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 0.3], [0.1, 0.0, 1.0]])),
+    PolyhedralH(3, np.column_stack([np.cos(_RING), np.sin(_RING), -np.ones(5)])),
+    PolyhedralV(3, np.array([[1.0, 0.0, 1.0, 0.5], [0.0, 1.0, 1.0, 0.2], [1.0, 1.0, 0.5, 1.0]])),
+    Lorentz(2),
+    Lorentz(3),
+    MonotoneNonneg(4),
+]
+PROTOCOL_IDS = [
+    "orthant", "signed_orthant", "simplicial_orthonormal", "simplicial_skew",
+    "halfspaces", "generators", "lorentz2", "lorentz3", "monotone_nonneg",
+]
+
+
+def _representation(rep, cone):
+    try:
+        return rep(cone)
+    except UnsupportedConeError:
+        return None
+
+
+def _with(*reps):
+    return [
+        pytest.param(K, id=name) for K, name in zip(PROTOCOL_CONES, PROTOCOL_IDS)
+        if all(_representation(rep, K) is not None for rep in reps)
+    ]
+
+
+def test_protocol_covers_every_family():
+    assert {type(K) for K in PROTOCOL_CONES} == {
+        Orthant, SignedOrthant, Simplicial, PolyhedralH, PolyhedralV, Lorentz, MonotoneNonneg,
+    }
+    assert PROTOCOL_CONES[2].orthonormal and not PROTOCOL_CONES[3].orthonormal
+
+
+@pytest.mark.parametrize("cone", _with(generator_matrix, facet_normals))
+def test_protocol_facets_nonpositive_on_generators(cone):
+    prods = facet_normals(cone) @ generator_matrix(cone)
+    assert np.max(prods) <= 1e-12
+
+
+@pytest.mark.parametrize("cone", _with(generator_matrix))
+def test_protocol_generators_are_members(cone):
+    for v in generator_matrix(cone).T:
+        assert membership(cone, v)
+
+
+@pytest.mark.parametrize("cone", _with())
+def test_protocol_double_dual(cone):
+    back = dual(dual(cone))
+    V = _representation(generator_matrix, cone)
+    U = _representation(facet_normals, cone)
+    if V is not None:
+        assert same_generator_sets(generator_matrix(back), V)
+    if U is not None:
+        assert same_generator_sets(facet_normals(back).T, U.T)
+    if V is None and U is None:
+        assert cone_to_dict(back) == cone_to_dict(cone)

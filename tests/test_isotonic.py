@@ -209,6 +209,14 @@ class TestOrthantIsotoneRecognize:
         K = PolyhedralH(2, np.array([[1.0, 1.0], [0.0, -1.0]]))
         assert not orthant_isotone_recognize(K).isotone
 
+    def test_lorentz2_refuted(self):
+        # Its facet normals (-1, -1) / sqrt(2) and (1, -1) / sqrt(2): the first
+        # touches both coordinates with the same sign.
+        rep = orthant_isotone_recognize(Lorentz(2))
+        assert not rep.isotone
+        assert rep.facet_count == 2
+        np.testing.assert_allclose(rep.offending_normal, [-np.sqrt(0.5), -np.sqrt(0.5)])
+
     def test_random_family(self, rng):
         for _ in range(20):
             K = random_orthant_isotone_cone(rng, int(rng.integers(2, 6)))
@@ -344,6 +352,13 @@ class TestVerifyCertificate:
         assert not verify_certificate(bogus, Orthant(2), Lorentz(2)) or leq(
             Lorentz(2), bogus.x, bogus.y
         )
+
+    def test_counterexample_at_huge_scale(self):
+        # Norms of vectors near 1e160 must not overflow in the re-check.
+        cfg = FalsifierConfig(trials=1000, seed=42, scale=1e160)
+        cex = falsify(Orthant(2), Lorentz(2), cfg)
+        assert cex is not None
+        assert verify_certificate(cex, Orthant(2), Lorentz(2))
 
     def test_needs_l_for_counterexample(self):
         cfg = FalsifierConfig(trials=10_000, seed=42)

@@ -28,7 +28,7 @@ from coneproj import (
     project_hyperplane,
     project_oracle,
 )
-from coneproj import cones, kernels, projections
+from coneproj import cones, kernels
 from conftest import random_simplicial
 
 
@@ -189,7 +189,7 @@ def kernel_test_rows(cone, rng):
 
 @pytest.mark.parametrize("cone", ROW_KERNEL_CONES, ids=lambda K: type(K).__name__)
 def test_row_kernel_matches_project(cone, rng):
-    rows = projections._closed_form(cone)
+    rows = cone._project_rows
     if isinstance(cone, (MonotoneNonneg, PolyhedralH, PolyhedralV)) or cone is SKEW_SIMPLICIAL:
         assert rows is None  # PAVA or NNLS: projected row by row
         return
@@ -201,7 +201,7 @@ def test_row_kernel_matches_project(cone, rng):
 
 @pytest.mark.parametrize("cone", ROW_KERNEL_CONES, ids=lambda K: type(K).__name__)
 def test_margin_kernel_matches_cone_margin(cone, rng):
-    rows = cones._margin_rows(cone)
+    rows = cone._margin_rows
     if isinstance(cone, PolyhedralV):
         assert rows is None  # NNLS residual per row
         return
@@ -211,7 +211,7 @@ def test_margin_kernel_matches_cone_margin(cone, rng):
 
 
 def test_solver_cap_raises_nonconvergence(monkeypatch):
-    monkeypatch.setattr(projections, "_lawson_hanson",
+    monkeypatch.setattr(cones, "_lawson_hanson",
                         partial(kernels._lawson_hanson, max_iter=0))
     with pytest.raises(NonConvergenceError):
         project(ring_cone(8), np.array([2.0, 0.5, 0.3]))
