@@ -25,11 +25,11 @@ from .kernels import (
     DEFAULT_MARGIN,
     IndeterminateError,
     RANK_RTOL,
-    _lawson_hanson,
+    _isotonic_rows,
+    _lawson_hanson_rows,
     _row_norms,
     _rows_times,
     lp_feasible,
-    pava,
 )
 
 MEMBERSHIP_TOL = 1e-9
@@ -88,13 +88,18 @@ class _Cone:
     """Behaviour of one cone family, behind the module-level functions.
 
     A family overrides what it supports; an operation it lacks raises
-    UnsupportedConeError from the defaults here.  Row kernels map a (B, m)
-    array to one result per row, row i depending on row i alone; None where
-    a solver is needed.
+    UnsupportedConeError from the defaults here.  Every family has two row
+    kernels, which map a (B, m) array to one result per row, row i depending
+    on row i alone, bit for bit: _project_rows to the (B, m) projections and
+    _margin_rows to the (B,) margins.  A row whose solve hits the iteration
+    cap comes out NaN.
     """
 
-    _project_rows = None  # (B, m) points -> (B, m) projections
-    _margin_rows = None  # (B, m) points -> (B,) margins
+    @cached_property
+    def _operators(self):
+        """Least-squares operators of this cone's NNLS solves, all on one
+        matrix, kept so later solves reuse them (kernels._lawson_hanson_rows)."""
+        return {}
 
     @property
     def _generators(self):
@@ -109,7 +114,10 @@ class _Cone:
         return self._project_rows(x[None, :])[0], None, 0
 
     def _margin(self, x):
-        return float(self._margin_rows(x[None, :])[0])
+        margin = float(self._margin_rows(x[None, :])[0])
+        if math.isnan(margin):
+            raise IndeterminateError("nnls iteration cap exceeded")
+        return margin
 
     def _sign_flip(self, eps):
         raise UnsupportedConeError("sign flips apply to orthant and simplicial cones")
@@ -245,28 +253,32 @@ class Simplicial(_Cone):
         normals = -self.inverse  # negated dual generators, as rows
         return normals / np.linalg.norm(normals, axis=1)[:, None]
 
-    @property
-    def _project_rows(self):
-        return self._orthonormal_rows if self.orthonormal else None
+    def _project_rows(self, X):
+        if self.orthonormal:
+            return self._orthonormal_rows(X)
+        return self._nnls_rows(X)[0]
 
     def _orthonormal_rows(self, X):
         """E max(E^T x, 0): the projection when the columns E are orthonormal."""
         E = self.columns
         return _rows_times(np.maximum(_rows_times(X, E), 0.0), E.T)
 
+    def _nnls_rows(self, X):
+        """(E lam, lam, iterations) per row, lam >= 0 the NNLS coefficients on E."""
+        lam, iterations = _lawson_hanson_rows(self.columns, X, self._operators)
+        return _rows_times(lam, self.columns.T), lam, iterations
+
     def _margin_rows(self, X):
         return _rows_times(X, self.inverse.T).min(axis=1)
 
     def _project(self, x):
-        E = self.columns
+        row = x[None, :]
         if self.orthonormal:
-            row = x[None, :]
             p = self._orthonormal_rows(row)[0]
-            lam = _rows_times(row, E)[0]  # unclamped: <= 0 where clamped to 0
+            lam = _rows_times(row, self.columns)[0]  # unclamped: <= 0 where clamped to 0
             iterations = 0
         else:
-            lam, iterations = _lawson_hanson(E, x)
-            p = E @ lam
+            p, lam, iterations = _one_row(*self._nnls_rows(row))
         return p, frozenset(int(i) for i in np.flatnonzero(lam <= 0.0)), iterations
 
     @cached_property
@@ -304,12 +316,19 @@ class PolyhedralH(_Cone):
     def _margin_rows(self, X):
         return -_rows_times(X, self.normals.T).max(axis=1)
 
-    def _project(self, x):
-        # Moreau with the polar cone, generated by the normals: p = x - U^T mu.
+    def _nnls_rows(self, X):
+        """(x - U^T mu, mu, iterations) per row: Moreau with the polar cone,
+        generated by the normals U, with mu >= 0 the NNLS coefficients on U^T."""
         U = self.normals
-        mu, iterations = _lawson_hanson(U.T, x)
-        p = x - U.T @ mu
-        vals = U @ p
+        mu, iterations = _lawson_hanson_rows(U.T, X, self._operators)
+        return X - _rows_times(mu, U), mu, iterations
+
+    def _project_rows(self, X):
+        return self._nnls_rows(X)[0]
+
+    def _project(self, x):
+        p, _, iterations = _one_row(*self._nnls_rows(x[None, :]))
+        vals = self.normals @ p
         active = frozenset(
             int(i) for i in np.flatnonzero(vals >= -1e-9 * np.max(np.abs(x)))
         )
@@ -353,14 +372,20 @@ class PolyhedralV(_Cone):
     def _generators(self):
         return self.generators
 
-    def _margin(self, x):
-        V = self.generators
-        lam, _ = _lawson_hanson(V, x)
-        return float(-np.linalg.norm(x - V @ lam))
+    def _nnls_rows(self, X):
+        """(V lam, lam, iterations) per row, lam >= 0 the NNLS coefficients on V."""
+        lam, iterations = _lawson_hanson_rows(self.generators, X, self._operators)
+        return _rows_times(lam, self.generators.T), lam, iterations
+
+    def _project_rows(self, X):
+        return self._nnls_rows(X)[0]
+
+    def _margin_rows(self, X):
+        return -_row_norms(X - self._project_rows(X))
 
     def _project(self, x):
-        lam, iterations = _lawson_hanson(self.generators, x)
-        return self.generators @ lam, None, iterations
+        p, _, iterations = _one_row(*self._nnls_rows(x[None, :]))
+        return p, None, iterations
 
     @cached_property
     def _dual(self):
@@ -453,11 +478,11 @@ class MonotoneNonneg(_Cone):
         last[0, -1] = -1.0
         return np.vstack([rows, last])
 
+    def _project_rows(self, X):
+        return np.maximum(_isotonic_rows(X), 0.0)
+
     def _margin_rows(self, X):
         return np.minimum((X[:, :-1] - X[:, 1:]).min(axis=1, initial=np.inf), X[:, -1])
-
-    def _project(self, x):
-        return np.maximum(pava(x), 0.0), None, 0
 
     @cached_property
     def _dual(self):
@@ -468,6 +493,14 @@ ConeSpec = (
     Orthant | SignedOrthant | Simplicial | PolyhedralH | PolyhedralV
     | Lorentz | MonotoneNonneg
 )
+
+
+def _one_row(P, C, iterations):
+    """(point, coefficients, iterations) of a one-row NNLS kernel call;
+    IndeterminateError where its solve hit the iteration cap."""
+    if math.isnan(C[0, 0]):  # the whole row is NaN
+        raise IndeterminateError("nnls iteration cap exceeded")
+    return P[0], C[0], int(iterations[0])
 
 
 def _check_dim(cone, x):

@@ -31,7 +31,7 @@ from .cones import (
     membership,
 )
 from .kernels import IndeterminateError, lp_feasible
-from .projections import project
+from .projections import NonConvergenceError, project
 
 DEFAULT_TOL = 1e-9
 
@@ -312,10 +312,10 @@ def alternatives_check(K, tol=DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 # Randomized falsifier
 
-# Trials run in blocks that start at one trial and double up to this many.
-# Only pairs whose projection and margin are closed forms get blocks of more
-# than one trial, so an iterative solve never runs past the first violation.
-# 512 trials run as fast per trial as 1024 with half the arrays alive.
+# Trials run in blocks that start at one trial and double up to this many
+# (halfspace orders, which sample by rejection, run one trial at a time).
+# Early blocks are small, so a violation in the first trials costs few
+# solves; 512 trials run as fast per trial as 1024 with half the arrays alive.
 MAX_BLOCK = 512
 
 # One scratch Philox generator per thread.  Every read sets its whole state
@@ -386,7 +386,9 @@ def falsify(K, L, cfg=FalsifierConfig()):
     results are reproducible and independent of how trials are grouped into
     blocks; the returned counterexample is the one with the lowest trial
     index.  Returns None when no violation shows up within the budget;
-    absence of a counterexample proves nothing.
+    absence of a counterexample proves nothing.  Raises NonConvergenceError
+    (IndeterminateError for the margin of L) at the first trial whose solve
+    exhausts its iteration cap, unless an earlier trial is a violation.
     """
     if K.dim != L.dim:
         raise DimensionMismatchError("K and L dimensions disagree")
@@ -394,19 +396,6 @@ def falsify(K, L, cfg=FalsifierConfig()):
     # Orders with no sampler of their own draw d by rejection, one trial at a time.
     n_dir, directions = L._directions(cfg.scale) or (0, None)
     width = -(-(m + n_dir) // 4) * 4
-    project_rows = K._project_rows
-    margin_rows = L._margin_rows
-    grow = project_rows is not None and margin_rows is not None and directions is not None
-    if project_rows is None:
-
-        def project_rows(X):
-            return np.array([project(K, x).point for x in X])
-
-    if margin_rows is None:
-
-        def margin_rows(V):
-            return np.array([cone_margin(L, v) for v in V])
-
     threshold = -10.0 * cfg.tol
     t, size = 1, 1
     while t <= cfg.trials:
@@ -417,16 +406,21 @@ def falsify(K, L, cfg=FalsifierConfig()):
              else _halfspace_direction(L, cfg.seed, cfg.scale, t))
         x = cfg.scale * ndtri(u[:, :m])
         xy = np.concatenate([x, x + d])
-        p = project_rows(xy)
+        p = K._project_rows(xy)
         v = p[count:] - p[:count]
-        mg = margin_rows(v)
+        mg = L._margin_rows(v)
         # 1 + ||v|| >= 1, so only rows below the bare threshold can qualify.
-        for i in (mg < threshold).nonzero()[0]:
+        # A NaN margin marks a trial whose solve hit its iteration cap: trial
+        # by trial it raises there, unless an earlier trial is a violation.
+        for i in (~(mg >= threshold)).nonzero()[0]:
+            if math.isnan(mg[i]):
+                error = NonConvergenceError if np.isnan(v[i]).any() else IndeterminateError
+                raise error(f"trial {t + i}: nnls iteration cap exceeded")
             if mg[i] < threshold * (1.0 + math.hypot(*v[i].tolist())):
                 return Counterexample(x=xy[i], y=xy[count + i], px=p[i], py=p[count + i],
                                       violation=v[i], margin=float(mg[i]), trial=t + int(i))
         t += count
-        if grow:
+        if directions is not None:
             size = min(2 * size, MAX_BLOCK)
     return None
 

@@ -6,9 +6,11 @@ dimensions).  They back the cone projection and certification layers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.optimize import linprog
 
 # Smallest/largest singular value ratio below which a matrix is treated as
@@ -18,6 +20,8 @@ RANK_RTOL = 1e-8
 # Lawson-Hanson stops once no free column's gradient exceeds this multiple of
 # max|A| (with b scaled to max|b| in [0.5, 1)).
 NNLS_RTOL = 1e-12
+
+EPS = np.finfo(float).eps
 
 DEFAULT_BOX = 1e3
 DEFAULT_MARGIN = 1e-7
@@ -63,85 +67,158 @@ def _row_norms(X):
     return np.hypot.reduce(X, axis=1, initial=0.0)
 
 
+def _isotonic_rows(Y):
+    """Nonincreasing isotonic regression of each row of a (B, m) array.
+
+    Pool-adjacent-violators, one row at a time: O(m) work and memory per row,
+    and each row's result depends on that row alone, bit for bit.
+    """
+    # Blocks of (mean, count) of all rows, in order; a row's value merges into
+    # the blocks of its own row while the nonincreasing order is violated.
+    means = []
+    counts = []
+    for y in Y.tolist():
+        start = len(means)
+        for v in y:
+            count = 1
+            while len(means) > start and means[-1] < v:
+                k = counts.pop()
+                v = (means.pop() * k + v * count) / (k + count)
+                count += k
+            means.append(v)
+            counts.append(count)
+    return np.repeat(np.array(means, dtype=float), counts).reshape(Y.shape)
+
+
 def pava(y):
     """Nonincreasing isotonic regression of y by pool-adjacent-violators.
 
-    Returns the Euclidean projection of y onto {x : x_1 >= x_2 >= ... >= x_m}.
+    Returns the Euclidean projection of y onto {x : x_1 >= x_2 >= ... >= x_m},
+    the one-row call of the row kernel the monotone cone projects with.
     """
-    y = np.asarray(y, dtype=float)
-    # Blocks of (mean, count), merged while the nonincreasing order is violated.
-    means = []
-    counts = []
-    for v in y:
-        means.append(float(v))
-        counts.append(1)
-        while len(means) > 1 and means[-2] < means[-1]:
-            total = means[-2] * counts[-2] + means[-1] * counts[-1]
-            counts[-2] += counts[-1]
-            means[-2] = total / counts[-2]
-            means.pop()
-            counts.pop()
-    return np.repeat(means, counts)
+    return _isotonic_rows(np.asarray(y, dtype=float)[None, :])[0]
 
 
-def _lawson_hanson(A, b, max_iter=None):
-    """Lawson-Hanson active-set solution of min ||A @ c - b|| over c >= 0.
+# Least-squares operators an NNLS solver keeps for one matrix, one for each
+# passive set it visits.  A full cache is emptied before the next one goes
+# in: one atomic step, so threads may share a cone.
+OPERATOR_CACHE_SIZE = 128
+
+
+def _operator(A, passive):
+    """(m, 2n) operator [O | G] of the least-squares solve on the columns of A
+    in the boolean mask `passive`, for right-hand sides b taken as rows.
+
+    b @ O holds the minimum-norm least-squares coefficients of b on those
+    columns (zero elsewhere), from LAPACK's complete orthogonal (QR with
+    column pivoting) solver dgelsy; b @ G is the gradient A^T (b - A c) at
+    those coefficients c.
+    """
+    m, n = A.shape
+    idx = passive.nonzero()[0]
+    k = idx.size
+    AS = A.take(idx, axis=1)
+    mn = min(m, k)
+    # dgelsy's minimal workspace, max(MN + 3N + 1, 2MN + NRHS), saves a query.
+    _, pinv, _, _, info = lapack.dgelsy(AS, np.eye(max(m, k), m), np.zeros(k, dtype=np.int32),
+                                        EPS * max(m, k), max(mn + 3 * k + 1, 2 * mn + m))
+    if info:
+        raise np.linalg.LinAlgError(f"dgelsy failed with info {info}")
+    pinv = pinv[:k]
+    op = np.zeros((m, 2 * n))
+    op.T[idx] = pinv
+    op[:, n:] = A - pinv.T.dot(AS.T.dot(A))
+    return op
+
+
+def _lawson_hanson(A, b, operators, tol, max_iter):
+    """Lawson-Hanson on one right-hand side b, scaled so max|b| < 1.
+
+    The products with A and the operators run in numpy (ndarray.dot, which
+    costs a third of matmul's call overhead on these small operands); the
+    bookkeeping on the n coefficients runs on Python floats, which costs less
+    than a numpy call at the sizes solved here and rounds the same.  Returns
+    (coefficients as a list, iterations); the coefficients are None once
+    the iteration cap is exhausted.
+    """
+    n = A.shape[1]
+    x = [0.0] * n
+    passive = [False] * n
+    w = b.dot(A).tolist()  # gradient at x = 0
+    iterations = 0
+    while True:
+        w = [-math.inf if p else v for p, v in zip(passive, w)]
+        top = max(w)
+        if top <= tol:
+            return x, iterations
+        passive[w.index(top)] = True  # ties go to the lowest index
+        while True:
+            iterations += 1
+            if iterations > max_iter:
+                return None, iterations
+            key = bytes(passive)
+            op = operators.get(key)
+            if op is None:
+                if len(operators) >= OPERATOR_CACHE_SIZE:
+                    operators.clear()
+                op = operators[key] = _operator(A, np.frombuffer(key, dtype=bool))
+            sw = b.dot(op).tolist()
+            s = sw[:n]
+            blocking = [i for i in range(n) if passive[i] and s[i] <= 0.0]
+            if not blocking:
+                x, w = s, sw[n:]
+                break
+            if any(x[i] == 0.0 for i in blocking):
+                # Only the entering column starts at zero.  It cannot move
+                # off zero, so its gradient was rounding noise and x is
+                # already optimal.
+                return x, iterations
+            # Step toward s until the first passive coefficient hits zero.
+            k = min(blocking, key=lambda i: x[i] / (x[i] - s[i]))
+            ratio = x[k] / (x[k] - s[k])
+            x = [max(xi + ratio * (si - xi), 0.0) for xi, si in zip(x, s)]
+            x[k] = 0.0
+            passive = [xi > 0.0 for xi in x]
+
+
+def _lawson_hanson_rows(A, B, operators, max_iter=None):
+    """Lawson-Hanson active-set solutions of min ||A @ c - b|| over c >= 0,
+    one for each row b of the (R, m) array B.
 
     Shared by every NNLS route.  A may have any shape, including more
     columns than rows and dependent columns: a column enters the passive set
     only while its gradient exceeds NNLS_RTOL relative to the largest entry
-    of A, so columns in the span of the passive ones never enter.  b is
-    divided by the exact power of two 2**e, e = frexp(max|b|)[1], and the
-    solution multiplied back, so the fixed relative tolerance holds at every
-    scale (1e-300 to 1e300).  Column selection breaks ties toward the lowest
-    index, so the output is deterministic.  Passive coefficients are strictly
-    positive and the rest exactly zero.
+    of A, so columns in the span of the passive ones never enter.  Each row
+    b is divided by the exact power of two 2**e, e = frexp(max|b|)[1], and
+    its solution multiplied back, so the fixed relative tolerance holds at
+    every scale (1e-300 to 1e300).  Column selection breaks ties toward the
+    lowest index, so the output is deterministic.  Passive coefficients are
+    strictly positive and the rest exactly zero.
 
-    Returns (coefficients, iterations).  Raises IndeterminateError when the
-    iteration cap (10 * columns by default) is exhausted.
+    Rows are solved one at a time, so a row's result does not depend on the
+    other rows of B, bit for bit.  Rows that visit the same passive set
+    share its least-squares operator (_operator): `operators` maps passive
+    masks, as bytes, to their operators, and the caller keeps it with A for
+    later calls (combinatorial NNLS); it holds at most OPERATOR_CACHE_SIZE.
+
+    Returns (coefficients (R, n), iterations (R,)).  A row that exhausts the
+    iteration cap (10 * columns by default), or has a non-finite entry, gets
+    NaN coefficients; the other rows are unaffected.
     """
     n = A.shape[1]
     if max_iter is None:
         max_iter = 10 * n
-    e = int(np.frexp(np.max(np.abs(b), initial=0.0))[1])
-    b = np.ldexp(b, -e)
-    tol = NNLS_RTOL * float(np.max(np.abs(A), initial=0.0))
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    iters = 0
-    while True:
-        w = A.T @ (b - A @ x)
-        w[passive] = -np.inf
-        j = int(np.argmax(w))  # argmax breaks ties toward the lowest index
-        if w[j] <= tol:
-            break
-        passive[j] = True
-        while True:
-            iters += 1
-            if iters > max_iter:
-                raise IndeterminateError("nnls iteration cap exceeded")
-            idx = np.flatnonzero(passive)
-            s, *_ = np.linalg.lstsq(A[:, idx], b, rcond=None)
-            if s.min() > 0.0:
-                x = np.zeros(n)
-                x[idx] = s
-                break
-            xp = x[idx]
-            blocking = s <= 0.0
-            if (blocking & (xp == 0.0)).any():
-                # Only the entering column starts at zero.  It cannot move
-                # off zero, so its gradient was rounding noise and x is
-                # already optimal.
-                return np.ldexp(x, e), iters
-            # Step toward s until the first passive coefficient hits zero.
-            ratios = np.full(idx.size, np.inf)
-            ratios[blocking] = xp[blocking] / (xp[blocking] - s[blocking])
-            k = int(np.argmin(ratios))
-            xp = xp + ratios[k] * (s - xp)
-            xp[k] = 0.0
-            x[idx] = np.maximum(xp, 0.0)
-            passive = x > 0.0
-    return np.ldexp(x, e), iters
+    top = np.abs(B).max(axis=1, initial=0.0)
+    e = np.frexp(top)[1][:, None]
+    B = np.ldexp(B, -e)
+    tol = NNLS_RTOL * float(np.abs(A).max(initial=0.0))
+    X = []
+    iterations = []
+    for b, t in zip(B, top.tolist()):
+        x, count = _lawson_hanson(A, b, operators, tol, max_iter) if math.isfinite(t) else (None, 0)
+        X.append([math.nan] * n if x is None else x)
+        iterations.append(count)
+    return np.ldexp(np.array(X).reshape(-1, n), e), np.array(iterations, dtype=np.int64)
 
 
 def nnls(A, b, max_iter=None):
@@ -167,7 +244,10 @@ def nnls(A, b, max_iter=None):
     sv = np.linalg.svd(A, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] < RANK_RTOL * sv[0]:
         raise SingularMatrixError("A is rank deficient")
-    x, _ = _lawson_hanson(A, b, max_iter)
+    C, _ = _lawson_hanson_rows(A, b[None, :], {}, max_iter)
+    x = C[0]
+    if np.isnan(x).any():
+        raise IndeterminateError("nnls iteration cap exceeded")
     residual = float(np.linalg.norm(b - A @ x))
     active = frozenset(int(i) for i in np.flatnonzero(x == 0.0))
     return NnlsResult(coefficients=x, residual=residual, active=active)

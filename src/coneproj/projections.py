@@ -6,10 +6,10 @@ pool-adjacent-violators.  Every other polyhedral cone goes through one exact
 Lawson-Hanson nonnegative least squares solve: on the generators for
 simplicial and generator cones (P_K x = V lambda), and on the transposed
 facet normals for halfspace cones, whose projection follows from Moreau's
-decomposition with the polar cone (P_K x = x - U^T mu).  Each route is a
-method of its family's class in cones.py, which project() calls.  An
-exhaustive active-set oracle (project_oracle) provides an independent
-reference for validation.
+decomposition with the polar cone (P_K x = x - U^T mu).  Each route is a row
+kernel of its family's class in cones.py; project() makes its one-row call,
+the falsifier calls it on whole blocks.  An exhaustive active-set oracle
+(project_oracle) provides an independent reference for validation.
 """
 
 from __future__ import annotations

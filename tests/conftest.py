@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coneproj import ConeFormatError, Simplicial
+from coneproj import ConeFormatError, PolyhedralH, Simplicial
 
 
 def random_simplicial(rng, m, min_sv=1e-3):
@@ -36,6 +36,12 @@ def random_orthant_isotone_cone(rng, m):
     A = A[np.ix_(perm, perm)]
     # {x : A x <= 0} with invertible A is the simplicial cone on -inv(A).
     return Simplicial(-np.linalg.inv(A))
+
+
+def ring_cone(k):
+    """Halfspace cone with the k normals (cos t, sin t, -1), t equally spaced."""
+    theta = 2.0 * np.pi * np.arange(k) / k
+    return PolyhedralH(3, np.stack([np.cos(theta), np.sin(theta), -np.ones(k)], axis=1))
 
 
 def same_generator_sets(A, B, tol=1e-9):

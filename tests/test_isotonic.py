@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from coneproj import (
     FalsifierConfig,
     Lorentz,
     MonotoneNonneg,
+    NonConvergenceError,
     Obstruction,
     Orthant,
     PolyhedralH,
@@ -29,7 +32,8 @@ from coneproj import (
     triple_obstruction,
     verify_certificate,
 )
-from conftest import random_orthant_isotone_cone, random_simplicial
+from coneproj import cones, kernels
+from conftest import random_orthant_isotone_cone, random_simplicial, ring_cone
 
 SQ2 = np.sqrt(2.0)
 
@@ -302,6 +306,8 @@ LATE_REFUTED = [
     pytest.param(triangle_cone(),
                  dual(Simplicial(np.random.default_rng(5).standard_normal((3, 3)))),
                  2, id="triangle-nnls"),
+    pytest.param(ring_cone(8), Orthant(3), 11, id="halfspaces-nnls"),
+    pytest.param(MonotoneNonneg(3), Lorentz(3), 4, id="monotone-isotonic"),
 ]
 
 
@@ -316,6 +322,35 @@ def test_lowest_violating_trial_independent_of_budget(K, L, seed):
         np.testing.assert_array_equal(getattr(same, field), getattr(cex, field))
     assert (same.margin, same.trial) == (cex.margin, cex.trial)
     assert falsify(K, L, FalsifierConfig(trials=cex.trial - 1, seed=seed)) is None
+
+
+def test_cap_failure_late_in_block_keeps_earlier_violation(monkeypatch):
+    # Trial 8 is the first violation.  Trial 12, in the same block of trials
+    # 8..15, needs 5 solver iterations; no trial up to 8 needs more than 3.
+    K = Simplicial(np.random.default_rng(20).standard_normal((5, 5)))
+    L = Lorentz(5)
+    cfg = FalsifierConfig(trials=1000, seed=1)
+    cex = falsify(K, L, cfg)
+    assert cex.trial == 8
+    capped_rows = []
+
+    def capped(A, B, operators, max_iter=None):
+        C, iterations = kernels._lawson_hanson_rows(A, B, operators, max_iter=3)
+        capped_rows.append(int(np.isnan(C[:, 0]).sum()))
+        return C, iterations
+
+    monkeypatch.setattr(cones, "_lawson_hanson_rows", capped)
+    same = falsify(K, L, cfg)
+    assert capped_rows[-1] > 0  # the violating block holds a row past the cap
+    for field in ("x", "y", "px", "py", "violation"):
+        np.testing.assert_array_equal(getattr(same, field), getattr(cex, field))
+    assert (same.margin, same.trial) == (cex.margin, cex.trial)
+    assert verify_certificate(same, K, L)
+    # A cap that an earlier trial exceeds raises there, as trial by trial.
+    monkeypatch.setattr(cones, "_lawson_hanson_rows",
+                        partial(kernels._lawson_hanson_rows, max_iter=2))
+    with pytest.raises(NonConvergenceError):
+        falsify(K, L, cfg)
 
 
 class TestVerifyCertificate:

@@ -29,7 +29,7 @@ from coneproj import (
     project_oracle,
 )
 from coneproj import cones, kernels
-from conftest import random_simplicial
+from conftest import random_simplicial, ring_cone
 
 
 def lorentz_qp_reference(x):
@@ -96,12 +96,6 @@ class TestProject:
                 np.testing.assert_allclose(x, r.point - r.dual_point, atol=1e-9)
                 assert abs(float(r.point @ r.dual_point)) < 1e-8
                 assert r.residual == pytest.approx(np.linalg.norm(x - r.point))
-
-
-def ring_cone(k):
-    """Halfspace cone with the k normals (cos t, sin t, -1), t equally spaced."""
-    theta = 2.0 * np.pi * np.arange(k) / k
-    return PolyhedralH(3, np.stack([np.cos(theta), np.sin(theta), -np.ones(k)], axis=1))
 
 
 # Columns (1, 0) and (1, 1).
@@ -189,30 +183,61 @@ def kernel_test_rows(cone, rng):
 
 @pytest.mark.parametrize("cone", ROW_KERNEL_CONES, ids=lambda K: type(K).__name__)
 def test_row_kernel_matches_project(cone, rng):
-    rows = cone._project_rows
-    if isinstance(cone, (MonotoneNonneg, PolyhedralH, PolyhedralV)) or cone is SKEW_SIMPLICIAL:
-        assert rows is None  # PAVA or NNLS: projected row by row
-        return
     X = kernel_test_rows(cone, rng)
-    P = rows(X)
+    P = cone._project_rows(X)
     for x, p in zip(X, P):
         np.testing.assert_array_equal(p, project(cone, x).point)
 
 
 @pytest.mark.parametrize("cone", ROW_KERNEL_CONES, ids=lambda K: type(K).__name__)
 def test_margin_kernel_matches_cone_margin(cone, rng):
-    rows = cone._margin_rows
-    if isinstance(cone, PolyhedralV):
-        assert rows is None  # NNLS residual per row
-        return
     X = kernel_test_rows(cone, rng)
-    for x, mg in zip(X, rows(X)):
+    for x, mg in zip(X, cone._margin_rows(X)):
         assert mg == cone_margin(cone, x)
 
 
+SOLVER_CONES = [SKEW_SIMPLICIAL, ring_cone(8), THREE_GENERATORS, MonotoneNonneg(4)]
+
+
+@pytest.mark.parametrize("cone", SOLVER_CONES, ids=lambda K: type(K).__name__)
+@pytest.mark.parametrize("size", [1, 2, 7, 512])
+def test_row_kernels_independent_of_block(cone, size):
+    # Rows at the extremes of scale, each inside a block of random rows, must
+    # come out bit for bit as in their own one-row call.
+    rng = np.random.default_rng(size)
+    m = cone.dim
+    for s in (0.0, 1e-300, 1.0, 1e300):
+        x = s * np.linspace(-1.0, 1.5, m)[::-1]
+        X = rng.standard_normal((size, m)) * 10.0 ** rng.uniform(-3.0, 3.0, (size, 1))
+        X[int(rng.integers(size))] = x
+        i = int(np.flatnonzero((X == x).all(axis=1))[0])
+        np.testing.assert_array_equal(cone._project_rows(X)[i],
+                                      cone._project_rows(x[None, :])[0])
+        np.testing.assert_array_equal(cone._margin_rows(X)[i],
+                                      cone._margin_rows(x[None, :])[0])
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-300])
+def test_generator_margin_does_not_overflow(scale):
+    x = scale * np.array([-2.0, 0.5, 0.3])
+    assert cone_margin(PolyhedralV(3, np.eye(3)), x) == -2.0 * scale
+
+
+def test_operator_cache_is_bounded(monkeypatch, rng):
+    # A cone keeps at most OPERATOR_CACHE_SIZE operators, and which ones it
+    # keeps does not change a result, bit for bit.
+    monkeypatch.setattr(kernels, "OPERATOR_CACHE_SIZE", 2)
+    X = rng.standard_normal((200, 3))
+    K = ring_cone(8)
+    P = K._project_rows(X)
+    assert 1 <= len(K._operators) <= 2
+    for x, p in zip(X, P):
+        np.testing.assert_array_equal(ring_cone(8)._project_rows(x[None, :])[0], p)
+
+
 def test_solver_cap_raises_nonconvergence(monkeypatch):
-    monkeypatch.setattr(cones, "_lawson_hanson",
-                        partial(kernels._lawson_hanson, max_iter=0))
+    monkeypatch.setattr(cones, "_lawson_hanson_rows",
+                        partial(kernels._lawson_hanson_rows, max_iter=0))
     with pytest.raises(NonConvergenceError):
         project(ring_cone(8), np.array([2.0, 0.5, 0.3]))
 
@@ -272,7 +297,36 @@ class TestOracleAgreement:
             project_oracle(K, np.zeros(3))
 
 
+def pool_adjacent_violators(y):
+    """Nonincreasing isotonic regression by merging adjacent violating blocks."""
+    means, counts = [], []
+    for v in y:
+        means.append(float(v))
+        counts.append(1)
+        while len(means) > 1 and means[-2] < means[-1]:
+            total = means[-2] * counts[-2] + means[-1] * counts[-1]
+            counts[-2] += counts[-1]
+            means[-2] = total / counts[-2]
+            means.pop()
+            counts.pop()
+    return np.repeat(means, counts)
+
+
 class TestPava:
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pool_adjacent_violators(self, values):
+        # The same merges in the same order, so bit for bit.
+        y = np.asarray(values)
+        np.testing.assert_array_equal(pava(y), pool_adjacent_violators(y))
+
+    def test_long_input(self):
+        # Linear work and memory: a row of 100,000 entries.
+        m = 100_000
+        np.testing.assert_array_equal(pava(np.zeros(m)), np.zeros(m))
+        np.testing.assert_allclose(pava(np.arange(m, dtype=float)), np.full(m, (m - 1) / 2))
+        assert MonotoneNonneg(m)._project_rows(np.ones((2, m))).shape == (2, m)
+
     def test_already_monotone(self):
         np.testing.assert_allclose(pava([3.0, 2.0, 1.0]), [3.0, 2.0, 1.0])
 
