@@ -143,6 +143,8 @@ def cmd_project(cone_file, point, tol, out):
     except NonConvergenceError as exc:
         _fail(str(exc), EXIT_INCONCLUSIVE)
     p, q = result.point, result.dual_point
+    # <p, q> relative to the input, s = max|x|: finite at every scale.
+    s = float(np.abs(x).max())
     report = {
         "command": "project",
         "inputs": {cone_file: _digest(cone_file)},
@@ -150,7 +152,7 @@ def cmd_project(cone_file, point, tol, out):
         "point": p.tolist(),
         "dual_point": q.tolist(),
         "residual": result.residual,
-        "moreau_gap": float(p @ q),
+        "moreau_gap": float((p / s) @ (q / s)) if s > 0.0 else 0.0,
     }
     _emit(report, out, started)
     sys.exit(EXIT_OK)

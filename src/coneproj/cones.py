@@ -27,6 +27,7 @@ from .kernels import (
     RANK_RTOL,
     _isotonic_rows,
     _lawson_hanson_rows,
+    _norms,
     _row_norms,
     _rows_times,
     lp_feasible,
@@ -50,7 +51,7 @@ class DimensionMismatchError(ValueError):
 
 def _as_unit_columns(M):
     M = np.asarray(M, dtype=float)
-    norms = np.linalg.norm(M, axis=0)
+    norms = _norms(M, axis=0)
     if np.any(norms == 0.0):
         raise ConeFormatError("zero generator column")
     # Idempotent: columns already unit length are left untouched bit-for-bit.
@@ -76,7 +77,7 @@ class Hyperplane:
 
     def __post_init__(self):
         u = np.asarray(self.normal, dtype=float)
-        n = float(np.linalg.norm(u))
+        n = float(_norms(u))
         if n == 0.0:
             raise ConeFormatError("hyperplane normal must be nonzero")
         # Idempotent: a normal already unit length is left untouched bit-for-bit.
@@ -302,7 +303,7 @@ class PolyhedralH(_Cone):
         U = np.asarray(self.normals, dtype=float)
         if U.ndim != 2 or U.shape[1] != self.dim or U.shape[0] < 1:
             raise ConeFormatError("normals must be a nonempty (k, dim) array")
-        norms = np.linalg.norm(U, axis=1)
+        norms = _norms(U, axis=1)
         if np.any(norms == 0.0):
             raise ConeFormatError("zero facet normal")
         norms = np.where(np.abs(norms - 1.0) < 1e-12, 1.0, norms)

@@ -2,6 +2,15 @@
 
 All kernels are deterministic and operate on small dense problems (tens of
 dimensions).  They back the cone projection and certification layers.
+
+One Lawson-Hanson NNLS solver (_lawson_hanson_rows) serves every projection
+without a closed form and also decides feasibility: lp_feasible finds the
+least-norm point of a system G x >= h by least-distance programming (Lawson
+& Hanson, Solving Least Squares Problems, 1974, ch. 23), an NNLS problem on
+the matrix [G^T; h^T].  It returns "feasible" only with a witness that one
+product re-checks, so a feasibility verdict never rests on the solver alone.
+LpResult.margin is that witness's common slack: a lower bound on the optimum
+of the LP that maximizes the common slack, not the optimum itself.
 """
 
 from __future__ import annotations
@@ -11,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.optimize import linprog
 
 # Smallest/largest singular value ratio below which a matrix is treated as
 # rank deficient.
@@ -25,6 +33,10 @@ EPS = np.finfo(float).eps
 
 DEFAULT_BOX = 1e3
 DEFAULT_MARGIN = 1e-7
+
+# Least-distance solves in one lp_feasible call: the first finds the
+# least-norm point, later ones correct it where the set is thin.
+LDP_PASSES = 4
 
 
 class SingularMatrixError(ValueError):
@@ -46,9 +58,11 @@ class NnlsResult:
 
 @dataclass(frozen=True)
 class LpResult:
+    """Verdict of lp_feasible; witness and margin are set only when feasible."""
+
     status: str  # "feasible" | "infeasible" | "indeterminate"
     witness: np.ndarray | None
-    margin: float
+    margin: float  # the witness's common slack; NaN unless feasible
 
 
 def _rows_times(X, M):
@@ -65,6 +79,22 @@ def _rows_times(X, M):
 def _row_norms(X):
     """Euclidean norm of each row of a (B, n) array, without overflow."""
     return np.hypot.reduce(X, axis=1, initial=0.0)
+
+
+def _norms(M, axis=None):
+    """np.linalg.norm(M, axis=axis) of a real array, without overflow or underflow.
+
+    Each vector is divided by the exact power of two 2**e, e =
+    frexp(max|entry|)[1], before np.linalg.norm, and its norm multiplied
+    back.  Powers of two commute with the squares, sums and square root, so
+    the result is bit-identical to np.linalg.norm wherever that neither
+    overflows nor reaches subnormals, and finite and nonzero for every finite
+    nonzero vector.
+    """
+    M = np.asarray(M, dtype=float)
+    e = np.frexp(np.abs(M).max(axis=axis, keepdims=True, initial=0.0))[1]
+    n = np.linalg.norm(np.ldexp(M, -e), axis=axis)
+    return np.ldexp(n, e.reshape(np.shape(n)))
 
 
 def _isotonic_rows(Y):
@@ -253,48 +283,110 @@ def nnls(A, b, max_iter=None):
     return NnlsResult(coefficients=x, residual=residual, active=active)
 
 
+def _least_distance(G, h):
+    """Least-norm solution of G y >= h, or None at the NNLS iteration cap.
+
+    Least-distance programming (Lawson & Hanson, ch. 23): u >= 0 minimizing
+    ||[G^T; h^T] u - e_last|| is positive on the rows tight at the least-norm
+    point, which is the least-norm solution of those rows as equations.
+    Solving them is the textbook -r[:-1] / r[-1], r the NNLS residual,
+    without its cancellation when r is small, as it is on a thin or empty
+    set.  An empty set comes back as a point that violates some row.
+    """
+    n = G.shape[1]
+    target = np.zeros((1, n + 1))
+    target[0, -1] = 1.0
+    u = _lawson_hanson_rows(np.vstack([G.T, h]), target, {})[0][0]
+    if np.isnan(u[0]):
+        return None
+    tight = u > 0.0
+    if not tight.any():
+        return np.zeros(n)  # h <= 0: the origin
+    # The tight rows of G are columns of G^T: their least-squares operator
+    # maps h to the least-norm solution of those rows as equations.
+    return _operator(G.T, tight)[:, :h.size].dot(h)
+
+
 def lp_feasible(constraints, box=DEFAULT_BOX, margin=DEFAULT_MARGIN):
     """Decide whether the linear inequalities admit a point with uniform slack.
 
-    `constraints` is an iterable of (normal, offset, sense) triples encoding
-    <normal, x> <= offset (sense "<=") or >= offset (sense ">=").  Normals are
-    rescaled to unit length, so `margin` is a geometric distance.  The search
-    is restricted to the box ||x||_inf <= box; feasibility is decided by
-    maximizing the common slack and comparing it against `margin`.
+    `constraints` is an iterable of finite (normal, offset, sense) triples
+    encoding <normal, x> <= offset (sense "<=") or >= offset (sense ">=").
+    They are rewritten as rows G x >= h with unit normals (rescaled by
+    _norms, so any finite nonzero scale works), so `margin` is a geometric
+    distance.  The system is "feasible" when some x with ||x||_inf <= box
+    has common slack min(G x - h) >= margin.
+
+    Method: least-distance programming on the shared Lawson-Hanson solver
+    (_least_distance), with each right-hand side divided by the power of two
+    nearest its largest entry.  A homogeneous system (every offset 0) is
+    scale free: y is the least-norm solution of G y >= 1, and x = box * y /
+    max|y|.  Any other system is solved as G x >= h + 2 margin; the doubled
+    margin keeps the re-checked slack of the rows tight at x above margin
+    despite rounding.  On a thin set the solver's stopping test is coarse, so
+    the point is then corrected by the least-norm d with G d >= rhs - G y
+    (iterative refinement), up to LDP_PASSES solves in all.
+
+    Returns "feasible" only after checking x directly, min(G x - h) >=
+    margin and max|x| <= box; the result then holds x as witness and its
+    common slack as margin, a lower bound on the optimum of the LP that
+    maximizes the common slack over the box.  Otherwise the status is
+    "infeasible", or "indeterminate" when the solver hits its iteration cap.
+
+    Where the verdict can differ from that LP: x has the least 2-norm, while
+    the box bounds the inf-norm, which in R^m is at least the 2-norm over
+    sqrt(m).  So on a homogeneous system the two can disagree only when the
+    LP optimum lies in [margin, sqrt(m) margin), that is, when the depth of
+    the interior is within a factor sqrt(m) of margin / box.  On any other
+    system, only when the LP optimum lies in [margin, 2 margin) or the
+    least-norm x leaves the box by at most a factor sqrt(m).  A "feasible"
+    verdict carries its checked witness, so it cannot err the other way.
     """
     rows = []
     rhs = []
-    dim = None
     for normal, offset, sense in constraints:
         u = np.asarray(normal, dtype=float)
-        if dim is None:
-            dim = u.size
-        elif u.size != dim:
+        if rows and u.size != rows[0].size:
             raise ValueError("constraint dimensions disagree")
-        nu = float(np.linalg.norm(u))
-        if nu == 0.0:
-            raise ValueError("zero constraint normal")
-        u = u / nu
-        c = float(offset) / nu
-        if sense == "<=":
-            rows.append(np.append(u, 1.0))
-            rhs.append(c)
-        elif sense == ">=":
-            rows.append(np.append(-u, 1.0))
-            rhs.append(-c)
+        if sense == ">=":
+            rows.append(u)
+            rhs.append(float(offset))
+        elif sense == "<=":
+            rows.append(-u)
+            rhs.append(-float(offset))
         else:
             raise ValueError(f"unknown sense {sense!r}")
-    if dim is None:
+    if not rows:
         raise ValueError("no constraints given")
+    G = np.array(rows)
+    h = np.array(rhs)
+    if not (np.isfinite(G).all() and np.isfinite(h).all()):
+        raise ValueError("constraints must be finite")
+    norms = _norms(G, axis=1)
+    if not norms.all():
+        raise ValueError("zero constraint normal")
+    G = G / norms[:, None]
+    h = h / norms
 
-    cost = np.zeros(dim + 1)
-    cost[-1] = -1.0  # maximize slack
-    bounds = [(-box, box)] * dim + [(None, box)]
-    res = linprog(cost, A_ub=np.array(rows), b_ub=np.array(rhs),
-                  bounds=bounds, method="highs")
-    if not res.success:
-        return LpResult(status="indeterminate", witness=None, margin=float("nan"))
-    slack = float(res.x[-1])
-    if slack >= margin:
-        return LpResult(status="feasible", witness=res.x[:-1].copy(), margin=slack)
-    return LpResult(status="infeasible", witness=None, margin=slack)
+    homogeneous = not h.any()
+    t = np.ones(h.size) if homogeneous else h + 2.0 * margin
+    y = np.zeros(G.shape[1])
+    for _ in range(LDP_PASSES):
+        c = t - G @ y
+        e = np.frexp(np.abs(c).max())[1]
+        w = _least_distance(G, np.ldexp(c, -e))
+        if w is None:
+            return LpResult(status="indeterminate", witness=None, margin=math.nan)
+        y = y + np.ldexp(w, e)
+        top = float(np.abs(y).max())
+        x = y / top * box if homogeneous and top > 0.0 else y
+        slack = float((G @ x - h).min())
+        if slack >= margin and float(np.abs(x).max()) <= box:
+            return LpResult(status="feasible", witness=x, margin=slack)
+        # Lawson-Hanson stops once no gradient exceeds NNLS_RTOL, which here
+        # admits a row violated by up to about 4 NNLS_RTOL ||w||**2 of the
+        # scaled right-hand side: correct y while that could pass 2**-10.
+        nw = math.hypot(*w.tolist())
+        if 4.0 * NNLS_RTOL * nw * nw <= 2.0 ** -10:
+            break
+    return LpResult(status="infeasible", witness=None, margin=math.nan)

@@ -1,4 +1,7 @@
 import json
+import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -56,6 +59,28 @@ class TestProject:
         rep = report_of(result)
         np.testing.assert_allclose(rep["point"], [0.0, 3.5, 3.5])
         assert abs(rep["moreau_gap"]) < 1e-9
+
+    @pytest.mark.parametrize("data", [
+        {"type": "simplicial", "columns": [[2.0, 1.0, 0.0], [0.0, 1.0, 0.3], [0.1, 0.0, 1.0]]},
+        {"type": "halfspaces", "dim": 3,
+         "normals": [[1.0, 0.0, -1.0], [0.0, 1.0, -1.0], [-1.0, 0.0, -1.0], [0.0, -1.0, -1.0]]},
+        {"type": "generators", "dim": 3,
+         "generators": [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0], [-1.0, 0.0, 2.0]]},
+        {"type": "lorentz", "dim": 3},
+    ], ids=["simplicial", "halfspaces", "generators", "lorentz"])
+    def test_moreau_gap_is_relative_and_finite(self, runner, tmp_path, data):
+        # The gap is <p/s, q/s> with s = max|x|, so it stays finite at 1e200.
+        cone = write_cone(tmp_path, "cone.json", data)
+        result = runner.invoke(main, ["project", cone, "--point", "1e200,-3e200,2e200"])
+        assert result.exit_code == 0
+        assert "Infinity" not in result.output
+        rep = report_of(result)
+        assert math.isfinite(rep["moreau_gap"]) and abs(rep["moreau_gap"]) < 1e-9
+
+    def test_moreau_gap_of_zero_point(self, runner, orthant3):
+        result = runner.invoke(main, ["project", orthant3, "--point", "0,0,0"])
+        assert result.exit_code == 0
+        assert report_of(result)["moreau_gap"] == 0.0
 
     def test_point_in_minus_dual_projects_to_zero(self, runner, tmp_path):
         cone = write_cone(
@@ -261,3 +286,12 @@ class TestReportOutput:
         result = runner.invoke(main, ["project", orthant3, "--point", "1,2,3"])
         digest = report_of(result)["inputs"][orthant3]
         assert len(digest) == 64
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # Importing scipy.optimize costs about a third of `import coneproj.cli`;
+    # feasibility runs on the library's own solver, so no module needs it.
+    code = "import sys, coneproj.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -6,6 +6,7 @@ import pytest
 from coneproj import (
     ConeFormatError,
     DimensionMismatchError,
+    Hyperplane,
     Lorentz,
     MonotoneNonneg,
     Orthant,
@@ -313,6 +314,19 @@ class TestValidation:
         V = generator_matrix(Lorentz(2))
         s = 1 / np.sqrt(2)
         assert same_generator_sets(V, np.array([[s, -s], [s, s]]))
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_scale_vectors_are_normalized(self, scale):
+        # Norms of such vectors under- or overflow; stored vectors must
+        # still be unit length, not zero or rejected.
+        eye = np.eye(2)
+        assert np.array_equal(Simplicial(scale * eye).columns, eye)
+        assert np.array_equal(PolyhedralH(2, -scale * eye).normals, -eye)
+        assert np.array_equal(PolyhedralV(2, scale * eye).generators, eye)
+        normal = Hyperplane(scale * np.array([3.0, 4.0]), np.zeros(2)).normal
+        np.testing.assert_allclose(normal, [0.6, 0.8], rtol=1e-15)
+        assert is_proper(PolyhedralH(2, -scale * eye))
+        assert is_proper(PolyhedralV(2, scale * eye))
 
 
 # One cone per family, with both Lorentz dimensions and both kinds of
