@@ -343,7 +343,7 @@ class PolyhedralH(_Cone):
         U = self.normals
         if np.linalg.matrix_rank(U, tol=RANK_RTOL) < self.dim:
             return False  # dual not generating, so the cone is not pointed
-        res = lp_feasible([(u, -1.0, "<=") for u in U], margin=DEFAULT_MARGIN)
+        res = lp_feasible([(u, 0.0, "<=") for u in U], margin=DEFAULT_MARGIN)
         if res.status == "indeterminate":
             raise IndeterminateError("interior LP indeterminate")
         return res.status == "feasible"
@@ -396,7 +396,7 @@ class PolyhedralV(_Cone):
         V = self.generators
         if np.linalg.matrix_rank(V, tol=RANK_RTOL) < self.dim:
             return False  # not generating
-        res = lp_feasible([(v, 1.0, ">=") for v in V.T], margin=DEFAULT_MARGIN)
+        res = lp_feasible([(v, 0.0, ">=") for v in V.T], margin=DEFAULT_MARGIN)
         if res.status == "indeterminate":
             raise IndeterminateError("pointedness LP indeterminate")
         return res.status == "feasible"
@@ -572,6 +572,13 @@ def gram(E):
 
 def is_proper(cone, tol=MEMBERSHIP_TOL):
     """True iff the cone is pointed and generating.
+
+    Properness is decided scale free: a halfspace cone is solid when its
+    homogeneous system <u_i, x> < 0 has a point, and a generator cone is
+    pointed when <v_j, x> > 0 has one, each asked of lp_feasible with
+    offset 0.  Only the depth of the cone counts, against the threshold
+    margin / box = 1e-10 of lp_feasible, so a cone as thin as |x1| <=
+    1e-8 x2 is proper.
 
     Raises IndeterminateError when an LP subproblem cannot decide.
     """

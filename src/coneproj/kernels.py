@@ -7,8 +7,11 @@ One Lawson-Hanson NNLS solver (_lawson_hanson_rows) serves every projection
 without a closed form and also decides feasibility: lp_feasible finds the
 least-norm point of a system G x >= h by least-distance programming (Lawson
 & Hanson, Solving Least Squares Problems, 1974, ch. 23), an NNLS problem on
-the matrix [G^T; h^T].  It returns "feasible" only with a witness that one
-product re-checks, so a feasibility verdict never rests on the solver alone.
+the matrix [G^T; h^T].  A homogeneous system first tries the sum of its
+unit rows as witness, and skips the solver when that point is deeper than
+2 sqrt(m) margin, where the solver's verdict is "feasible" too.  Either
+way it returns "feasible" only with a witness that one product re-checks,
+so a feasibility verdict never rests on the solver alone.
 LpResult.margin is that witness's common slack: a lower bound on the optimum
 of the LP that maximizes the common slack, not the optimum itself.
 """
@@ -307,40 +310,11 @@ def _least_distance(G, h):
     return _operator(G.T, tight)[:, :h.size].dot(h)
 
 
-def lp_feasible(constraints, box=DEFAULT_BOX, margin=DEFAULT_MARGIN):
-    """Decide whether the linear inequalities admit a point with uniform slack.
+def _unit_rows(constraints):
+    """The constraints as rows G x >= h with unit normals.
 
-    `constraints` is an iterable of finite (normal, offset, sense) triples
-    encoding <normal, x> <= offset (sense "<=") or >= offset (sense ">=").
-    They are rewritten as rows G x >= h with unit normals (rescaled by
-    _norms, so any finite nonzero scale works), so `margin` is a geometric
-    distance.  The system is "feasible" when some x with ||x||_inf <= box
-    has common slack min(G x - h) >= margin.
-
-    Method: least-distance programming on the shared Lawson-Hanson solver
-    (_least_distance), with each right-hand side divided by the power of two
-    nearest its largest entry.  A homogeneous system (every offset 0) is
-    scale free: y is the least-norm solution of G y >= 1, and x = box * y /
-    max|y|.  Any other system is solved as G x >= h + 2 margin; the doubled
-    margin keeps the re-checked slack of the rows tight at x above margin
-    despite rounding.  On a thin set the solver's stopping test is coarse, so
-    the point is then corrected by the least-norm d with G d >= rhs - G y
-    (iterative refinement), up to LDP_PASSES solves in all.
-
-    Returns "feasible" only after checking x directly, min(G x - h) >=
-    margin and max|x| <= box; the result then holds x as witness and its
-    common slack as margin, a lower bound on the optimum of the LP that
-    maximizes the common slack over the box.  Otherwise the status is
-    "infeasible", or "indeterminate" when the solver hits its iteration cap.
-
-    Where the verdict can differ from that LP: x has the least 2-norm, while
-    the box bounds the inf-norm, which in R^m is at least the 2-norm over
-    sqrt(m).  So on a homogeneous system the two can disagree only when the
-    LP optimum lies in [margin, sqrt(m) margin), that is, when the depth of
-    the interior is within a factor sqrt(m) of margin / box.  On any other
-    system, only when the LP optimum lies in [margin, 2 margin) or the
-    least-norm x leaves the box by at most a factor sqrt(m).  A "feasible"
-    verdict carries its checked witness, so it cannot err the other way.
+    Each row is divided by its norm from _norms, so scaling a row by a power
+    of two leaves G and h bit-identical.
     """
     rows = []
     rhs = []
@@ -365,9 +339,11 @@ def lp_feasible(constraints, box=DEFAULT_BOX, margin=DEFAULT_MARGIN):
     norms = _norms(G, axis=1)
     if not norms.all():
         raise ValueError("zero constraint normal")
-    G = G / norms[:, None]
-    h = h / norms
+    return G / norms[:, None], h / norms
 
+
+def _least_distance_feasible(G, h, box, margin):
+    """lp_feasible's verdict on unit rows G x >= h by least-distance programming."""
     homogeneous = not h.any()
     t = np.ones(h.size) if homogeneous else h + 2.0 * margin
     y = np.zeros(G.shape[1])
@@ -390,3 +366,63 @@ def lp_feasible(constraints, box=DEFAULT_BOX, margin=DEFAULT_MARGIN):
         if 4.0 * NNLS_RTOL * nw * nw <= 2.0 ** -10:
             break
     return LpResult(status="infeasible", witness=None, margin=math.nan)
+
+
+def lp_feasible(constraints, box=DEFAULT_BOX, margin=DEFAULT_MARGIN):
+    """Decide whether the linear inequalities admit a point with uniform slack.
+
+    `constraints` is an iterable of finite (normal, offset, sense) triples
+    encoding <normal, x> <= offset (sense "<=") or >= offset (sense ">=").
+    They are rewritten as rows G x >= h with unit normals (rescaled by
+    _norms, so any finite nonzero scale works), so `margin` is a geometric
+    distance.  The system is "feasible" when some x with ||x||_inf <= box
+    has common slack min(G x - h) >= margin.
+
+    Candidate step: a homogeneous system (every offset 0) first tries x =
+    box * y / max|y|, y = G^T 1 the sum of its unit rows, and answers
+    "feasible" with it when its checked slack min(G x) is at least 2
+    sqrt(m) margin in R^m.  That leaves every verdict as the least-distance
+    route below gives it: the LP optimum s* is at least that slack, and the
+    least-distance point has slack at least s* / sqrt(m) >= 2 margin, twice
+    what it needs.  (Where that route would hit its iteration cap, the
+    candidate decides instead.)  Deeply feasible systems, such as the
+    interior intersections of the paper's cone pairs, then cost one
+    product.  Every other system, and every candidate below the threshold,
+    goes on to the least-distance route.
+
+    Least-distance route: least-distance programming on the shared
+    Lawson-Hanson solver (_least_distance), with each right-hand side
+    divided by the power of two nearest its largest entry.  A homogeneous
+    system is scale free: y is the least-norm solution of G y >= 1, and x =
+    box * y / max|y|.  Any other system is solved as G x >= h + 2 margin;
+    the doubled margin keeps the re-checked slack of the rows tight at x
+    above margin despite rounding.  On a thin set the solver's stopping test
+    is coarse, so the point is then corrected by the least-norm d with G d
+    >= rhs - G y (iterative refinement), up to LDP_PASSES solves in all.
+
+    Returns "feasible" only after checking x directly, min(G x - h) >=
+    margin and max|x| <= box (which the candidate meets by construction,
+    max|x| = box); the result then holds x as witness and its common slack
+    as margin, a lower bound on the optimum of the LP that maximizes the
+    common slack over the box.  Otherwise the status is
+    "infeasible", or "indeterminate" when the solver hits its iteration cap.
+
+    Where the verdict can differ from that LP: x has the least 2-norm, while
+    the box bounds the inf-norm, which in R^m is at least the 2-norm over
+    sqrt(m).  So on a homogeneous system the two can disagree only when the
+    LP optimum lies in [margin, sqrt(m) margin), that is, when the depth of
+    the interior is within a factor sqrt(m) of margin / box.  On any other
+    system, only when the LP optimum lies in [margin, 2 margin) or the
+    least-norm x leaves the box by at most a factor sqrt(m).  A "feasible"
+    verdict carries its checked witness, so it cannot err the other way.
+    """
+    G, h = _unit_rows(constraints)
+    if not h.any():
+        y = G.sum(axis=0)
+        top = float(np.abs(y).max())
+        if top > 0.0:
+            x = y / top * box
+            slack = float((G @ x).min())
+            if slack >= 2.0 * math.sqrt(G.shape[1]) * margin:
+                return LpResult(status="feasible", witness=x, margin=slack)
+    return _least_distance_feasible(G, h, box, margin)

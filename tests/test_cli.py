@@ -137,6 +137,22 @@ class TestCertify:
         assert result.exit_code == 1
         assert report_of(result)["certificate"]["kind"] == "obstruction"
 
+    def test_thin_cones_are_proper(self, runner, tmp_path, orthant2):
+        # |x1| <= 1e-3 x2 is proper.  In halfspace form certify stops at the
+        # missing generator form; its dual, the wide cone on (+-1, 1e-3) in
+        # generator form, is certified.
+        thin = write_cone(tmp_path, "thin.json", {
+            "type": "halfspaces", "dim": 2, "normals": [[1.0, -1e-3], [-1.0, -1e-3]]})
+        result = runner.invoke(main, ["certify", thin, orthant2])
+        assert result.exit_code == 3
+        assert "no generator representation" in result.output
+        wide = write_cone(tmp_path, "wide.json", {
+            "type": "generators", "dim": 2, "generators": [[1.0, 1e-3], [-1.0, 1e-3]]})
+        result = runner.invoke(main, ["certify", wide, orthant2])
+        assert result.exit_code == 1
+        cert = report_of(result)["certificate"]
+        assert cert["interior_kdual_l"] and not cert["k_in_l"]
+
 
 class TestSignFlip:
     def test_witness(self, runner, tmp_path):

@@ -186,6 +186,19 @@ class TestIsProper:
         # Halfplane: normals do not span, not pointed.
         assert not is_proper(PolyhedralH(2, np.array([[0.0, -1.0]])))
 
+    @pytest.mark.parametrize("a", [1e-3, 5e-4, 1e-4, 1e-6, 1e-8])
+    def test_thin_cones_proper(self, a):
+        # |x1| <= a x2 in halfspace form, and its dual, the wide cone on
+        # (1, a) and (-1, a): properness is scale free, so depth a counts
+        # against margin / box = 1e-10, not against an offset of 1.
+        assert is_proper(PolyhedralH(2, np.array([[1.0, -a], [-1.0, -a]])))
+        assert is_proper(PolyhedralV(2, np.array([[1.0, -1.0], [a, a]])))
+
+    def test_too_thin_not_proper(self):
+        a = 1e-11
+        assert not is_proper(PolyhedralH(2, np.array([[1.0, -a], [-1.0, -a]])))
+        assert not is_proper(PolyhedralV(2, np.array([[1.0, -1.0], [a, a]])))
+
 
 class TestFacets:
     def test_orthant(self):

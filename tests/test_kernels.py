@@ -180,6 +180,56 @@ class TestLpFeasible:
 
 
 
+# Feasible, but its unit rows sum to a shallow point: the solver decides it.
+SHALLOW_ROW_SUM = [(np.array([1.0, 0.0]), 0.0, ">=")] * 5 + [(np.array([-0.5, 0.866]), 0.0, ">=")]
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """A list that gains an entry at each least-distance solve."""
+    calls = []
+    solve = kernels._least_distance
+
+    def counted(G, h):
+        calls.append(G.shape)
+        return solve(G, h)
+
+    monkeypatch.setattr(kernels, "_least_distance", counted)
+    return calls
+
+
+class TestLpFeasibleCandidate:
+    """The candidate step: the sum of the unit rows, taken as witness when deep."""
+
+    def test_deep_system_skips_solver(self, monkeypatch):
+        def fail(G, h):
+            raise AssertionError("least-distance solve on a deep system")
+
+        monkeypatch.setattr(kernels, "_least_distance", fail)
+        rng = np.random.default_rng(3)
+        for m in (2, 4, 6):
+            # Interior of the orthant intersected with int(K*) for a cone K
+            # of generators near the diagonal: deep, as the paper's pairs.
+            V = np.abs(rng.standard_normal((m, m))) + np.eye(m)
+            cons = [(v, 0.0, ">=") for v in V.T] + [(e, 0.0, ">=") for e in np.eye(m)]
+            res = lp_feasible(cons)
+            assert res.status == "feasible"
+            assert_witness(res, cons)
+            assert res.margin >= 2.0 * math.sqrt(m) * DEFAULT_MARGIN
+            assert float(np.abs(res.witness).max()) == DEFAULT_BOX
+
+    def test_shallow_row_sum_reaches_solver(self, solves):
+        res = lp_feasible(SHALLOW_ROW_SUM)
+        assert solves
+        assert res.status == "feasible"
+        assert_witness(res, SHALLOW_ROW_SUM)
+
+    def test_inhomogeneous_reaches_solver(self, solves):
+        res = lp_feasible([(np.array([1.0, 0.0]), 1.0, ">="), (np.array([0.0, 1.0]), 1.0, ">=")])
+        assert solves
+        assert res.status == "feasible"
+
+
 class TestLpFeasibleAgainstHighs:
     """HiGHS as an independent oracle for the least-distance verdicts."""
 
@@ -199,6 +249,12 @@ class TestLpFeasibleAgainstHighs:
             assert res.status == highs_feasible(cons)[0], (i, cons)
             if res.status == "feasible":
                 assert_witness(res, cons)
+            if homogeneous:
+                # The candidate step leaves every verdict as the
+                # least-distance route gives it.
+                route = kernels._least_distance_feasible(
+                    *kernels._unit_rows(cons), DEFAULT_BOX, DEFAULT_MARGIN)
+                assert res.status == route.status, (i, cons)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 6])
     def test_thin_cones_near_threshold(self, m):
@@ -257,9 +313,27 @@ class TestLpFeasibleRobustness:
         solve = kernels._lawson_hanson_rows
         monkeypatch.setattr(kernels, "_lawson_hanson_rows",
                             lambda A, B, ops, max_iter=None: solve(A, B, ops, 0))
-        res = lp_feasible([(np.array([1.0, 0.0]), 0.0, ">="), (np.array([0.0, 1.0]), 0.0, ">=")])
+        res = lp_feasible(SHALLOW_ROW_SUM)
         assert res.status == "indeterminate"
         assert res.witness is None
+        # The candidate step needs no solver.
+        res = lp_feasible([(np.array([1.0, 0.0]), 0.0, ">="), (np.array([0.0, 1.0]), 0.0, ">=")])
+        assert res.status == "feasible"
+
+    @pytest.mark.parametrize("k", [-600, -60, 0, 60, 600])
+    def test_power_of_two_scaling(self, solves, k):
+        # Unit rows are bit-identical under row scaling by 2**k, and so is
+        # every verdict and witness, on both routes.
+        quadrant = [(np.array([1.0, 0.0]), 0.0, ">="), (np.array([0.0, 1.0]), 0.0, ">=")]
+        interval = [(np.array([1.0]), 1.0, ">="), (np.array([1.0]), 2.0, "<=")]
+        for cons, solved in ((quadrant, False), (SHALLOW_ROW_SUM, True), (interval, True)):
+            base = lp_feasible(cons, margin=0.1)
+            solves.clear()
+            res = lp_feasible([(np.ldexp(u, k), math.ldexp(c, k), s) for u, c, s in cons], margin=0.1)
+            assert bool(solves) == solved
+            assert res.status == base.status == "feasible"
+            assert np.array_equal(res.witness, base.witness)
+            assert res.margin == base.margin
 
     @pytest.mark.parametrize("cons, message", [
         ([], "no constraints"),
