@@ -22,15 +22,14 @@ import numpy as np
 from scipy.special import ndtri
 
 from .kernels import (
-    DEFAULT_MARGIN,
     IndeterminateError,
     RANK_RTOL,
+    _feasible,
     _isotonic_rows,
     _lawson_hanson_rows,
     _norms,
     _row_norms,
     _rows_times,
-    lp_feasible,
 )
 
 MEMBERSHIP_TOL = 1e-9
@@ -126,6 +125,10 @@ class _Cone:
     def _is_proper(self):
         return True
 
+    # True when _project_rows is a closed form, with no solver or PAVA loop per
+    # row: the falsifier then opens with a block of isotonic.OPENING_BLOCK trials.
+    _closed_form = False
+
     def _directions(self, scale):
         """Words per trial and a map (B, words) uniforms -> directions in the cone,
         d = V (scale * -log u) on the generators V; None to sample by rejection."""
@@ -139,6 +142,7 @@ class Orthant(_Cone):
 
     _type = "orthant"
     _dual = property(lambda self: self)  # self-dual
+    _closed_form = True
 
     def __post_init__(self):
         if self.dim < 1:
@@ -165,6 +169,16 @@ class Orthant(_Cone):
     def _sign_flip(self, eps):
         return SignedOrthant(epsilon=eps)
 
+    def _directions(self, scale):
+        # Elementwise: at every normal scale the bits of the product with the
+        # identity, whose other terms are exact zeros.
+        def directions(u):
+            d = np.log(u)
+            d *= -scale
+            return d
+
+        return self.dim, directions
+
 
 @dataclass(frozen=True)
 class SignedOrthant(_Cone):
@@ -174,6 +188,7 @@ class SignedOrthant(_Cone):
 
     _type = "signed_orthant"
     _dual = property(lambda self: self)  # self-dual
+    _closed_form = True
 
     def __post_init__(self):
         eps = np.asarray(self.epsilon, dtype=float)
@@ -207,6 +222,18 @@ class SignedOrthant(_Cone):
     def _sign_flip(self, eps):
         return SignedOrthant(epsilon=self.epsilon * eps)
 
+    def _directions(self, scale):
+        # Elementwise: at every normal scale the bits of the product with
+        # diag(epsilon), whose other terms are exact zeros.
+        w = -scale * self.epsilon
+
+        def directions(u):
+            d = np.log(u)
+            d *= w
+            return d
+
+        return self.dim, directions
+
 
 @dataclass(frozen=True)
 class Simplicial(_Cone):
@@ -237,6 +264,8 @@ class Simplicial(_Cone):
         """True when the columns are orthonormal (a rotated orthant)."""
         E = self.columns
         return float(np.max(np.abs(E.T @ E - np.eye(E.shape[1])))) < 1e-12
+
+    _closed_form = property(lambda self: self.orthonormal)
 
     @cached_property
     def inverse(self):
@@ -343,7 +372,7 @@ class PolyhedralH(_Cone):
         U = self.normals
         if np.linalg.matrix_rank(U, tol=RANK_RTOL) < self.dim:
             return False  # dual not generating, so the cone is not pointed
-        res = lp_feasible([(u, 0.0, "<=") for u in U], margin=DEFAULT_MARGIN)
+        res = _feasible(-U, np.zeros(len(U)))  # <u, x> <= 0
         if res.status == "indeterminate":
             raise IndeterminateError("interior LP indeterminate")
         return res.status == "feasible"
@@ -396,7 +425,7 @@ class PolyhedralV(_Cone):
         V = self.generators
         if np.linalg.matrix_rank(V, tol=RANK_RTOL) < self.dim:
             return False  # not generating
-        res = lp_feasible([(v, 0.0, ">=") for v in V.T], margin=DEFAULT_MARGIN)
+        res = _feasible(V.T, np.zeros(V.shape[1]))  # <v, x> >= 0
         if res.status == "indeterminate":
             raise IndeterminateError("pointedness LP indeterminate")
         return res.status == "feasible"
@@ -410,6 +439,7 @@ class Lorentz(_Cone):
 
     _type = "lorentz"
     _dual = property(lambda self: self)  # self-dual
+    _closed_form = True
 
     def __post_init__(self):
         if self.dim < 2:

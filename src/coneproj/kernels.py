@@ -310,12 +310,8 @@ def _least_distance(G, h):
     return _operator(G.T, tight)[:, :h.size].dot(h)
 
 
-def _unit_rows(constraints):
-    """The constraints as rows G x >= h with unit normals.
-
-    Each row is divided by its norm from _norms, so scaling a row by a power
-    of two leaves G and h bit-identical.
-    """
+def _constraint_rows(constraints):
+    """(normal, offset, sense) triples as the rows G x >= h, unnormalized."""
     rows = []
     rhs = []
     for normal, offset, sense in constraints:
@@ -332,8 +328,15 @@ def _unit_rows(constraints):
             raise ValueError(f"unknown sense {sense!r}")
     if not rows:
         raise ValueError("no constraints given")
-    G = np.array(rows)
-    h = np.array(rhs)
+    return np.array(rows), np.array(rhs)
+
+
+def _unit_rows(G, h):
+    """The rows G x >= h rescaled to unit normals.
+
+    Each row is divided by its norm from _norms, so scaling a row by a power
+    of two leaves G and h bit-identical.
+    """
     if not (np.isfinite(G).all() and np.isfinite(h).all()):
         raise ValueError("constraints must be finite")
     norms = _norms(G, axis=1)
@@ -416,7 +419,14 @@ def lp_feasible(constraints, box=DEFAULT_BOX, margin=DEFAULT_MARGIN):
     least-norm x leaves the box by at most a factor sqrt(m).  A "feasible"
     verdict carries its checked witness, so it cannot err the other way.
     """
-    G, h = _unit_rows(constraints)
+    return _feasible(*_constraint_rows(constraints), box, margin)
+
+
+def _feasible(G, h, box=DEFAULT_BOX, margin=DEFAULT_MARGIN):
+    """lp_feasible of the system G x >= h, given as a (k, m) array G and a
+    (k,) array h: the entry for callers that hold their rows as arrays."""
+    # C order: a row's products and norm then round as in lp_feasible's own rows.
+    G, h = _unit_rows(np.ascontiguousarray(G, dtype=float), np.asarray(h, dtype=float))
     if not h.any():
         y = G.sum(axis=0)
         top = float(np.abs(y).max())

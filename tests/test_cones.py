@@ -28,6 +28,7 @@ from coneproj import (
     save_cone,
     sign_flip,
 )
+from coneproj.kernels import _rows_times
 from conftest import random_simplicial, same_generator_sets
 
 ALL_FAMILIES = [
@@ -406,3 +407,21 @@ def test_protocol_double_dual(cone):
         assert same_generator_sets(facet_normals(back).T, U.T)
     if V is None and U is None:
         assert cone_to_dict(back) == cone_to_dict(cone)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_orthant_directions_match_generator_product(m):
+    # The elementwise directions of orthant orders give the bits of the
+    # generator product, at both ends of the uniforms and at every normal
+    # scale.  (At a subnormal scale a product can round to zero, and the sign
+    # of that zero in the generator product depends on the BLAS kernel.)
+    rng = np.random.default_rng(m)
+    u = np.vstack([rng.random((64, m)), np.full((1, m), 0.5 * 2.0**-52),
+                   np.full((1, m), (2.0**52 - 0.5) * 2.0**-52)])
+    eps = rng.choice([-1.0, 1.0], m)
+    for L in (Orthant(m), SignedOrthant(eps), SignedOrthant(-np.ones(m))):
+        for c in (10.0, 1e-3, 1e300, 1e-300):
+            n, directions = L._directions(c)
+            expected = _rows_times(np.log(u), -c * generator_matrix(L).T)
+            assert n == m
+            assert directions(u).tobytes() == expected.tobytes()

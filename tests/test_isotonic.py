@@ -32,7 +32,7 @@ from coneproj import (
     triple_obstruction,
     verify_certificate,
 )
-from coneproj import cones, kernels
+from coneproj import cones, isotonic, kernels
 from conftest import random_orthant_isotone_cone, random_simplicial, ring_cone
 
 SQ2 = np.sqrt(2.0)
@@ -294,9 +294,19 @@ class TestFalsify:
             falsify(K, needle_cone(), FalsifierConfig(trials=10, seed=42))
 
 
+def assert_same_counterexample(a, b):
+    """Both None, or counterexamples equal field by field, bit for bit."""
+    assert (a is None) == (b is None)
+    if a is not None:
+        for field in ("x", "y", "px", "py", "violation"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+        assert (a.margin, a.trial) == (b.margin, b.trial)
+
+
 # Refuted pairs whose first violation comes after trial 1, with the seed.
-# With seed 18 trials 8 and 11 both violate, and both fall in the block of
-# trials 8..15.
+# With seed 18 trials 8 and 11 both violate, and both fall in the 16-trial
+# opening block of this closed-form K: two violations in one block, of
+# which the lower trial is returned.
 LATE_REFUTED = [
     pytest.param(Orthant(2), Lorentz(2), 42, id="orthant-lorentz2"),
     pytest.param(Orthant(2), Lorentz(2), 18, id="orthant-lorentz2-two-in-block"),
@@ -318,9 +328,7 @@ def test_lowest_violating_trial_independent_of_budget(K, L, seed):
     assert verify_certificate(cex, K, L)
     # A budget ending at the violation groups the trials into other blocks.
     same = falsify(K, L, FalsifierConfig(trials=cex.trial, seed=seed))
-    for field in ("x", "y", "px", "py", "violation"):
-        np.testing.assert_array_equal(getattr(same, field), getattr(cex, field))
-    assert (same.margin, same.trial) == (cex.margin, cex.trial)
+    assert_same_counterexample(same, cex)
     assert falsify(K, L, FalsifierConfig(trials=cex.trial - 1, seed=seed)) is None
 
 
@@ -342,15 +350,60 @@ def test_cap_failure_late_in_block_keeps_earlier_violation(monkeypatch):
     monkeypatch.setattr(cones, "_lawson_hanson_rows", capped)
     same = falsify(K, L, cfg)
     assert capped_rows[-1] > 0  # the violating block holds a row past the cap
-    for field in ("x", "y", "px", "py", "violation"):
-        np.testing.assert_array_equal(getattr(same, field), getattr(cex, field))
-    assert (same.margin, same.trial) == (cex.margin, cex.trial)
+    assert_same_counterexample(same, cex)
     assert verify_certificate(same, K, L)
     # A cap that an earlier trial exceeds raises there, as trial by trial.
     monkeypatch.setattr(cones, "_lawson_hanson_rows",
                         partial(kernels._lawson_hanson_rows, max_iter=2))
     with pytest.raises(NonConvergenceError):
         falsify(K, L, cfg)
+
+
+def rotated_orthant(seed, m):
+    return Simplicial(np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))[0])
+
+
+# (K, L, trials, seed, first violating trial or None) for every kind of
+# projection kernel and of order.  Trials 22 and 73 of the closed-form pairs
+# lie in their second and third blocks.
+SCHEDULE_PAIRS = [
+    pytest.param(Orthant(3), Orthant(3), 600, 1, None, id="orthant-held"),
+    pytest.param(Orthant(4), Lorentz(4), 600, 2465, 73, id="orthant-refuted"),
+    pytest.param(SignedOrthant(np.array([1.0, -1.0, 1.0])), SignedOrthant(np.array([1.0, -1.0, 1.0])),
+                 600, 2, None, id="signed-orthant-held"),
+    pytest.param(SignedOrthant(np.array([1.0, -1.0, 1.0])), Lorentz(3), 600, 2, 22,
+                 id="signed-orthant-refuted"),
+    pytest.param(Lorentz(2), Lorentz(2), 600, 3, None, id="lorentz-held"),
+    pytest.param(Lorentz(3), Simplicial(np.random.default_rng(1).standard_normal((3, 3))), 600, 2,
+                 2, id="lorentz-refuted"),
+    pytest.param(rotated_orthant(4, 4), rotated_orthant(4, 4), 600, 4, None, id="rotated-held"),
+    pytest.param(rotated_orthant(3, 3), Lorentz(3), 600, 6, 5, id="rotated-refuted"),
+    pytest.param(Simplicial(cones.monotone_generators(3)), Orthant(3), 300, 5, None,
+                 id="nnls-held"),
+    pytest.param(triangle_cone(), dual(Simplicial(np.random.default_rng(5).standard_normal((3, 3)))),
+                 300, 2, 4, id="triangle-refuted"),
+    pytest.param(ring_cone(8), Orthant(3), 300, 11, 6, id="ring-refuted"),
+    pytest.param(MonotoneNonneg(4), Orthant(4), 300, 7, None, id="pava-held"),
+    pytest.param(MonotoneNonneg(3), Lorentz(3), 300, 4, 3, id="pava-refuted"),
+    pytest.param(Orthant(3), PolyhedralH(3, -np.eye(3)), 100, 8, None, id="halfspace-order-held"),
+    pytest.param(Orthant(3), PolyhedralH(3, np.array([[1.0, 1.0, -1.0], [0.0, 0.0, -1.0]])), 100,
+                 0, 14, id="halfspace-order-refuted"),
+]
+
+
+@pytest.mark.parametrize("K, L, trials, seed, first", SCHEDULE_PAIRS)
+def test_block_schedule_cannot_change_result(monkeypatch, K, L, trials, seed, first):
+    cfg = FalsifierConfig(trials=trials, seed=seed)
+    base = falsify(K, L, cfg)
+    assert (None if base is None else base.trial) == first
+    for max_block in (1, 512):
+        for opening in (1, 16):
+            with monkeypatch.context() as patch:
+                patch.setattr(isotonic, "MAX_BLOCK", max_block)
+                patch.setattr(isotonic, "OPENING_BLOCK", opening)
+                # Every family opens at the patched size, solver families too.
+                patch.setattr(type(K), "_closed_form", True)
+                assert_same_counterexample(falsify(K, L, cfg), base)
 
 
 class TestVerifyCertificate:

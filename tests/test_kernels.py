@@ -47,6 +47,20 @@ def assert_witness(res, constraints, box=DEFAULT_BOX, margin=DEFAULT_MARGIN):
     assert res.margin == float((G @ x - h).min())
 
 
+def assert_array_form_agrees(res, constraints):
+    """kernels._feasible on the rows as arrays, as the library passes them
+    (offsets +0, C or Fortran order), returns res bit for bit."""
+    G = np.array([u if sense == ">=" else -u for u, _, sense in constraints], dtype=float)
+    h = np.array([c if sense == ">=" else -c for _, c, sense in constraints], dtype=float) + 0.0
+    for rows in (G, np.asfortranarray(G)):
+        other = kernels._feasible(rows, h)
+        assert other.status == res.status
+        assert (other.witness is None) == (res.witness is None)
+        if res.witness is not None:
+            assert np.array_equal(other.witness, res.witness)
+        assert np.array_equal(other.margin, res.margin, equal_nan=True)
+
+
 def thin_cone(rng, m, depth, axis):
     """Homogeneous system of a cone of the given depth around `axis`: the
     rows depth * d +- sqrt(1 - depth^2) w_j, with d the unit axis and w_j an
@@ -249,11 +263,13 @@ class TestLpFeasibleAgainstHighs:
             assert res.status == highs_feasible(cons)[0], (i, cons)
             if res.status == "feasible":
                 assert_witness(res, cons)
+            assert_array_form_agrees(res, cons)
             if homogeneous:
                 # The candidate step leaves every verdict as the
                 # least-distance route gives it.
                 route = kernels._least_distance_feasible(
-                    *kernels._unit_rows(cons), DEFAULT_BOX, DEFAULT_MARGIN)
+                    *kernels._unit_rows(*kernels._constraint_rows(cons)),
+                    DEFAULT_BOX, DEFAULT_MARGIN)
                 assert res.status == route.status, (i, cons)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 6])
@@ -266,6 +282,7 @@ class TestLpFeasibleAgainstHighs:
             for axis in (np.eye(m)[0], np.ones(m), rng.standard_normal(m)):
                 cons = thin_cone(rng, m, ratio * threshold, axis)
                 res = lp_feasible(cons)
+                assert_array_form_agrees(res, cons)
                 if ratio >= 1.1:
                     assert res.status == "feasible", (ratio, axis)
                 if ratio * math.sqrt(m) <= 0.9:
@@ -287,6 +304,7 @@ class TestLpFeasibleAgainstHighs:
                 cons = [(u, 1.0, ">=") for u, _, _ in thin_cone(rng, m, ratio / DEFAULT_BOX, np.eye(m)[0])]
                 res = lp_feasible(cons)
                 assert res.status == expect, (m, ratio)
+                assert_array_form_agrees(res, cons)
                 if expect == "feasible":
                     assert_witness(res, cons)
                     assert highs_feasible(cons)[0] == "feasible"
