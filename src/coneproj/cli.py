@@ -23,16 +23,11 @@ from .cones import (
     Simplicial,
     UnsupportedConeError,
     cone_to_dict,
+    dual,
     load_cone,
     save_cone,
 )
-from .isotonic import (
-    Counterexample,
-    FalsifierConfig,
-    Obstruction,
-    SamplingError,
-    SubdualWitness,
-)
+from .isotonic import FalsifierConfig, Obstruction, SamplingError
 from .kernels import IndeterminateError
 from .projections import NonConvergenceError, project
 
@@ -74,37 +69,6 @@ def _parse_point(text):
     if x.ndim != 1 or not np.all(np.isfinite(x)):
         _fail("point must be a finite 1-D vector", EXIT_INPUT)
     return x
-
-
-def _serialize_certificate(cert):
-    if isinstance(cert, SubdualWitness):
-        return {
-            "kind": "subdual_witness",
-            "epsilon": [int(e) for e in cert.epsilon],
-            "index_set": sorted(cert.index_set),
-        }
-    if isinstance(cert, Obstruction):
-        return {"kind": "obstruction", "cycle": list(cert.cycle)}
-    if isinstance(cert, Counterexample):
-        return {
-            "kind": "counterexample",
-            "x": cert.x.tolist(),
-            "y": cert.y.tolist(),
-            "px": cert.px.tolist(),
-            "py": cert.py.tolist(),
-            "violation": cert.violation.tolist(),
-            "margin": cert.margin,
-            "trial": cert.trial,
-        }
-    report = cert  # ContainmentReport
-    return {
-        "kind": "containment_report",
-        "k_in_l": report.k_in_l,
-        "l_in_k_dual": report.l_in_k_dual,
-        "k_subdual": report.k_subdual,
-        "interior_kdual_l": report.interior_kdual_l,
-        "interior_kdual_ldual": report.interior_kdual_ldual,
-    }
 
 
 def _emit(report, out, started):
@@ -175,22 +139,19 @@ def cmd_certify(k_file, l_file, tol, out):
             if triple is not None:
                 certificate = Obstruction(cycle=triple)
         if certificate is None:
-            report_cert = isotonic.certify_necessary(K, L, tol)
-            certificate = report_cert
-            refuted = report_cert.refuted
-        else:
-            refuted = True
+            certificate = isotonic.certify_necessary(K, L, tol)
     except (UnsupportedConeError, ValueError) as exc:
         _fail(str(exc), EXIT_INPUT)
     except IndeterminateError as exc:
         _fail(str(exc), EXIT_INCONCLUSIVE)
+    refuted = certificate.refuted
     if refuted and not isotonic.verify_certificate(certificate, K, L, tol):
         _fail("refutation certificate failed re-verification", EXIT_INCONCLUSIVE)
     report = {
         "command": "certify",
         "inputs": {k_file: _digest(k_file), l_file: _digest(l_file)},
         "verdict": "refuted" if refuted else "inconclusive",
-        "certificate": _serialize_certificate(certificate),
+        "certificate": certificate._to_json(),
     }
     _emit(report, out, started)
     sys.exit(EXIT_REFUTED if refuted else EXIT_INCONCLUSIVE)
@@ -209,15 +170,14 @@ def cmd_sign_flip(k_file, tol, out):
     cert = isotonic.sign_flip_search(K, tol)
     if not isotonic.verify_certificate(cert, K, tol=tol):
         _fail("certificate failed re-verification", EXIT_INCONCLUSIVE)
-    found = isinstance(cert, SubdualWitness)
     report = {
         "command": "sign-flip",
         "inputs": {k_file: _digest(k_file)},
-        "verdict": "certified" if found else "refuted",
-        "certificate": _serialize_certificate(cert),
+        "verdict": "refuted" if cert.refuted else "certified",
+        "certificate": cert._to_json(),
     }
     _emit(report, out, started)
-    sys.exit(EXIT_OK if found else EXIT_REFUTED)
+    sys.exit(EXIT_REFUTED if cert.refuted else EXIT_OK)
 
 
 @main.command("falsify")
@@ -250,7 +210,7 @@ def cmd_falsify(k_file, l_file, trials, seed, scale, tol, out):
         "seed": seed,
     }
     if cex is not None:
-        report["certificate"] = _serialize_certificate(cex)
+        report["certificate"] = cex._to_json()
     else:
         report["note"] = f"no violation in {trials} trials (not a proof)"
     _emit(report, out, started)
@@ -300,13 +260,7 @@ def cmd_recognize(k_file, tol, out):
 def cmd_dual(k_file, cone_out, out):
     """Compute the dual cone and emit its description."""
     started = time.perf_counter()
-    K = _load(k_file)
-    try:
-        from .cones import dual as dual_of
-
-        D = dual_of(K)
-    except UnsupportedConeError as exc:
-        _fail(str(exc), EXIT_INPUT)
+    D = dual(_load(k_file))
     if cone_out:
         save_cone(D, cone_out)
     report = {

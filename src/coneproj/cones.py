@@ -163,7 +163,7 @@ class Orthant(_Cone):
         return X.min(axis=1)
 
     def _project(self, x):
-        active = frozenset(int(i) for i in np.flatnonzero(x <= 0.0))
+        active = frozenset(np.flatnonzero(x <= 0.0).tolist())
         return self._project_rows(x[None, :])[0], active, 0
 
     def _sign_flip(self, eps):
@@ -191,9 +191,10 @@ class SignedOrthant(_Cone):
     _closed_form = True
 
     def __post_init__(self):
-        eps = np.asarray(self.epsilon, dtype=float)
+        eps = np.array(self.epsilon, dtype=float)  # a copy: the caller's array stays writeable
         if eps.ndim != 1 or eps.size < 1 or not np.all(np.abs(eps) == 1.0):
             raise ConeFormatError("epsilon entries must be exactly +1 or -1")
+        eps.flags.writeable = False
         object.__setattr__(self, "epsilon", eps)
 
     @property
@@ -216,7 +217,7 @@ class SignedOrthant(_Cone):
         return (self.epsilon * X).min(axis=1)
 
     def _project(self, x):
-        active = frozenset(int(i) for i in np.flatnonzero(self.epsilon * x <= 0.0))
+        active = frozenset(np.flatnonzero(self.epsilon * x <= 0.0).tolist())
         return self._project_rows(x[None, :])[0], active, 0
 
     def _sign_flip(self, eps):
@@ -253,6 +254,7 @@ class Simplicial(_Cone):
         sv = np.linalg.svd(E, compute_uv=False)
         if sv[-1] < RANK_RTOL * sv[0]:
             raise ConeFormatError("generator columns are numerically dependent")
+        E.flags.writeable = False
         object.__setattr__(self, "columns", E)
 
     @property
@@ -309,7 +311,7 @@ class Simplicial(_Cone):
             iterations = 0
         else:
             p, lam, iterations = _one_row(*self._nnls_rows(row))
-        return p, frozenset(int(i) for i in np.flatnonzero(lam <= 0.0)), iterations
+        return p, frozenset(np.flatnonzero(lam <= 0.0).tolist()), iterations
 
     @cached_property
     def _dual(self):
@@ -337,6 +339,7 @@ class PolyhedralH(_Cone):
             raise ConeFormatError("zero facet normal")
         norms = np.where(np.abs(norms - 1.0) < 1e-12, 1.0, norms)
         U = _dedupe_unit_rows(U / norms[:, None])
+        U.flags.writeable = False
         object.__setattr__(self, "normals", U)
 
     @property
@@ -359,9 +362,7 @@ class PolyhedralH(_Cone):
     def _project(self, x):
         p, _, iterations = _one_row(*self._nnls_rows(x[None, :]))
         vals = self.normals @ p
-        active = frozenset(
-            int(i) for i in np.flatnonzero(vals >= -1e-9 * np.max(np.abs(x)))
-        )
+        active = frozenset(np.flatnonzero(vals >= -1e-9 * np.max(np.abs(x))).tolist())
         return p, active, iterations
 
     @cached_property
@@ -396,6 +397,7 @@ class PolyhedralV(_Cone):
             raise ConeFormatError("generators must be a nonempty (dim, k) array")
         V = _as_unit_columns(V)
         V = _dedupe_unit_rows(V.T).T
+        V.flags.writeable = False
         object.__setattr__(self, "generators", V)
 
     @property
@@ -554,7 +556,8 @@ def monotone_generators(m):
 
 
 def generator_matrix(cone):
-    """V-representation (unit generator columns) where one is available."""
+    """V-representation (unit generator columns) where one is available: the
+    cone's own array, read-only where the cone stores it."""
     return cone._generators
 
 
@@ -616,8 +619,9 @@ def is_proper(cone, tol=MEMBERSHIP_TOL):
 
 
 def facet_normals(cone):
-    """Minimal unit facet normals u_i, as rows, with K = {x : <u_i, x> <= 0}."""
-    return np.array([u / float(np.linalg.norm(u)) for u in cone._facet_normals])
+    """Minimal unit facet normals u_i, as rows, with K = {x : <u_i, x> <= 0}: the
+    cone's own array, read-only where the cone stores it."""
+    return cone._facet_normals
 
 
 def facets(cone):

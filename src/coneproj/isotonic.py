@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -47,6 +47,26 @@ class SubdualWitness:
     epsilon: np.ndarray
     index_set: frozenset  # indices carrying +1
 
+    refuted = False
+
+    def _verify(self, K, L, tol):
+        eps = np.asarray(self.epsilon, dtype=float)
+        if not np.all(np.abs(eps) == 1.0):
+            return False
+        expected = frozenset(int(i) for i in np.flatnonzero(eps > 0))
+        if expected != self.index_set:
+            return False
+        G = gram(K)
+        D = np.diag(eps)
+        return float(np.min(D @ G @ D)) >= -tol
+
+    def _to_json(self):
+        return {
+            "kind": "subdual_witness",
+            "epsilon": [int(e) for e in self.epsilon],
+            "index_set": sorted(self.index_set),
+        }
+
 
 @dataclass(frozen=True)
 class Obstruction:
@@ -57,6 +77,25 @@ class Obstruction:
     """
 
     cycle: tuple
+
+    refuted = True
+
+    def _verify(self, K, L, tol):
+        G = gram(K)
+        cyc = list(self.cycle)
+        if len(cyc) < 3 or len(set(cyc)) != len(cyc):
+            return False
+        negatives = 0
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            g = G[a, b]
+            if abs(g) <= tol:
+                return False
+            if g < 0:
+                negatives += 1
+        return negatives % 2 == 1
+
+    def _to_json(self):
+        return {"kind": "obstruction", "cycle": list(self.cycle)}
 
 
 @dataclass(frozen=True)
@@ -77,6 +116,14 @@ class ContainmentReport:
     def inconclusive(self):
         return not self.refuted
 
+    def _verify(self, K, L, tol):
+        if L is None:
+            return False
+        return certify_necessary(K, L, tol) == self
+
+    def _to_json(self):
+        return {"kind": "containment_report", **asdict(self)}
+
 
 @dataclass(frozen=True)
 class Counterexample:
@@ -89,6 +136,31 @@ class Counterexample:
     violation: np.ndarray  # py - px, outside L
     margin: float
     trial: int = 0
+
+    refuted = True
+
+    def _verify(self, K, L, tol):
+        if L is None:
+            return False
+        if not leq(L, self.x, self.y, tol):
+            return False
+        px = project(K, self.x).point
+        py = project(K, self.y).point
+        v = py - px
+        scale = 1.0 + math.hypot(*v.tolist())
+        return cone_margin(L, v) < -10.0 * tol * scale
+
+    def _to_json(self):
+        return {
+            "kind": "counterexample",
+            "x": self.x.tolist(),
+            "y": self.y.tolist(),
+            "px": self.px.tolist(),
+            "py": self.py.tolist(),
+            "violation": self.violation.tolist(),
+            "margin": self.margin,
+            "trial": self.trial,
+        }
 
 
 @dataclass(frozen=True)
@@ -182,7 +254,7 @@ def sign_flip_search_gram(G, tol=DEFAULT_TOL):
                     queue.append(j)
                 elif color[j] != expected:
                     return Obstruction(cycle=_bfs_cycle(parent, depth, i, j))
-    index_set = frozenset(int(i) for i in np.flatnonzero(color == 0))
+    index_set = frozenset(np.flatnonzero(color == 0).tolist())
     eps = np.where(color == 0, 1.0, -1.0)
     return SubdualWitness(epsilon=eps, index_set=index_set)
 
@@ -444,45 +516,9 @@ def falsify(K, L, cfg=FalsifierConfig()):
 
 
 def verify_certificate(cert, K, L=None, tol=DEFAULT_TOL):
-    """Independently re-check a certificate; False on any failure."""
+    """Independently re-check a certificate by its own check; False on any failure."""
+    check = getattr(cert, "_verify", None)
     try:
-        if isinstance(cert, SubdualWitness):
-            eps = np.asarray(cert.epsilon, dtype=float)
-            if not np.all(np.abs(eps) == 1.0):
-                return False
-            expected = frozenset(int(i) for i in np.flatnonzero(eps > 0))
-            if expected != cert.index_set:
-                return False
-            G = gram(K)
-            D = np.diag(eps)
-            return float(np.min(D @ G @ D)) >= -tol
-        if isinstance(cert, Obstruction):
-            G = gram(K)
-            cyc = list(cert.cycle)
-            if len(cyc) < 3 or len(set(cyc)) != len(cyc):
-                return False
-            negatives = 0
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                g = G[a, b]
-                if abs(g) <= tol:
-                    return False
-                if g < 0:
-                    negatives += 1
-            return negatives % 2 == 1
-        if isinstance(cert, Counterexample):
-            if L is None:
-                return False
-            if not leq(L, cert.x, cert.y, tol):
-                return False
-            px = project(K, cert.x).point
-            py = project(K, cert.y).point
-            v = py - px
-            scale = 1.0 + math.hypot(*v.tolist())
-            return cone_margin(L, v) < -10.0 * tol * scale
-        if isinstance(cert, ContainmentReport):
-            if L is None:
-                return False
-            return certify_necessary(K, L, tol) == cert
+        return check is not None and check(K, L, tol)
     except (ValueError, UnsupportedConeError, IndeterminateError):
         return False
-    return False

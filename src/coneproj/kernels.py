@@ -282,7 +282,7 @@ def nnls(A, b, max_iter=None):
     if np.isnan(x).any():
         raise IndeterminateError("nnls iteration cap exceeded")
     residual = float(np.linalg.norm(b - A @ x))
-    active = frozenset(int(i) for i in np.flatnonzero(x == 0.0))
+    active = frozenset(np.flatnonzero(x == 0.0).tolist())
     return NnlsResult(coefficients=x, residual=residual, active=active)
 
 

@@ -289,6 +289,45 @@ class TestDual:
         assert np.max(np.abs(prod - np.diag(np.diag(prod)))) < 1e-10
 
 
+# The certificate object of each kind as the CLI printed it before the
+# certificate classes serialized themselves, byte for byte once re-encoded
+# with sorted keys (floats re-encode to the same digits), with the exit code.
+GOLDEN_CERTIFICATES = [
+    (["sign-flip", "identity"], 0,
+     '{"epsilon": [1, 1], "index_set": [0, 1], "kind": "subdual_witness"}'),
+    (["sign-flip", "triangle"], 1, '{"cycle": [1, 0, 2], "kind": "obstruction"}'),
+    (["certify", "orthant2", "orthant2"], 2,
+     '{"interior_kdual_l": true, "interior_kdual_ldual": true, "k_in_l": true, '
+     '"k_subdual": true, "kind": "containment_report", "l_in_k_dual": true}'),
+    (["certify", "orthant2", "lorentz2"], 1,
+     '{"interior_kdual_l": true, "interior_kdual_ldual": true, "k_in_l": false, '
+     '"k_subdual": true, "kind": "containment_report", "l_in_k_dual": false}'),
+    (["falsify", "orthant2", "lorentz2"], 1,
+     '{"kind": "counterexample", "margin": -5.428367892712613, '
+     '"px": [3.5635777257934267, 0.0], "py": [15.901835579959076, 6.909889961453038], '
+     '"trial": 9, "violation": [12.33825785416565, 6.909889961453038], '
+     '"x": [3.5635777257934267, -7.187157523965803], '
+     '"y": [15.901835579959076, 6.909889961453038]}'),
+]
+
+
+@pytest.mark.parametrize("args, code, expected", GOLDEN_CERTIFICATES,
+                         ids=["-".join(args) for args, _, _ in GOLDEN_CERTIFICATES])
+def test_certificate_json_golden(runner, tmp_path, orthant2, lorentz2, args, code, expected):
+    G = np.eye(3) - 0.4 * (np.ones((3, 3)) - np.eye(3))
+    files = {
+        "identity": write_cone(tmp_path, "id.json", {
+            "type": "simplicial", "columns": [[1.0, 0.0], [0.0, 1.0]]}),
+        "triangle": write_cone(tmp_path, "triangle.json", {
+            "type": "simplicial", "columns": np.linalg.cholesky(G).tolist()}),
+        "orthant2": orthant2,
+        "lorentz2": lorentz2,
+    }
+    result = runner.invoke(main, args[:1] + [files[name] for name in args[1:]])
+    assert result.exit_code == code
+    assert json.dumps(report_of(result)["certificate"], sort_keys=True) == expected
+
+
 class TestReportOutput:
     def test_out_file(self, runner, orthant3, tmp_path):
         out = tmp_path / "report.json"

@@ -251,6 +251,33 @@ class TestFacets:
         assert same_generator_sets(np.array([h.normal for h in facets(Lorentz(2))]).T, U.T)
 
 
+class TestStoredArraysReadOnly:
+    @pytest.mark.parametrize("get, cone", [
+        (generator_matrix, Simplicial(np.array([[2.0, 1.0], [0.0, 1.0]]))),
+        (generator_matrix, PolyhedralV(2, np.array([[1.0, 1.0], [0.0, 1.0]]))),
+        (generator_matrix, MonotoneNonneg(3)),
+        (facet_normals, PolyhedralH(2, -np.eye(2))),
+    ], ids=["simplicial", "generators", "monotone_nonneg", "halfspaces"])
+    def test_write_raises(self, get, cone):
+        with pytest.raises(ValueError):
+            get(cone)[0, 0] = -1.0
+
+    def test_generators_cannot_be_rewritten(self):
+        K = PolyhedralV(3, np.eye(3))
+        e1 = np.array([1.0, 0.0, 0.0])
+        with pytest.raises(ValueError):
+            generator_matrix(K)[:, 0] = [0.0, 0.0, -1.0]
+        assert membership(K, e1)
+
+    def test_signed_orthant_copies_epsilon(self):
+        eps = np.array([1.0, -1.0])
+        K = SignedOrthant(eps)
+        eps[0] = -1.0  # the caller's array stays writeable
+        assert K.epsilon.tolist() == [1.0, -1.0]
+        with pytest.raises(ValueError):
+            K.epsilon[0] = -1.0
+
+
 class TestConeFiles:
     CASES = [
         {"type": "orthant", "dim": 3},
@@ -388,6 +415,13 @@ def test_protocol_covers_every_family():
 def test_protocol_facets_nonpositive_on_generators(cone):
     prods = facet_normals(cone) @ generator_matrix(cone)
     assert np.max(prods) <= 1e-12
+
+
+@pytest.mark.parametrize("cone", _with(facet_normals))
+def test_protocol_facet_normals_are_the_familys_rows(cone):
+    U = facet_normals(cone)
+    assert U.shape == cone._facet_normals.shape
+    assert U.tobytes() == cone._facet_normals.tobytes()
 
 
 @pytest.mark.parametrize("cone", _with(generator_matrix))

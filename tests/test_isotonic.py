@@ -1,9 +1,11 @@
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
 import pytest
 
 from coneproj import (
+    ContainmentReport,
     Counterexample,
     FalsifierConfig,
     Lorentz,
@@ -452,6 +454,50 @@ class TestVerifyCertificate:
         cfg = FalsifierConfig(trials=10_000, seed=42)
         cex = falsify(Orthant(2), Lorentz(2), cfg)
         assert not verify_certificate(cex, Orthant(2))
+
+    def test_obstruction_round_trip(self):
+        K = triangle_cone()
+        assert verify_certificate(Obstruction(cycle=(0, 1, 2)), K)
+
+    @pytest.mark.parametrize("cycle", [(0, 1), (0, 1, 2, 0, 1)], ids=["two", "repeated"])
+    def test_obstruction_needs_a_simple_cycle(self, cycle):
+        # Every edge of the triangle cone is negative: five is an odd count,
+        # so only the repeated indices reject the second cycle.
+        assert not verify_certificate(Obstruction(cycle=cycle), triangle_cone())
+
+    def test_obstruction_even_negative_edges(self):
+        G = np.eye(3)
+        G[0, 1] = G[1, 0] = -0.3
+        G[1, 2] = G[2, 1] = -0.3
+        G[0, 2] = G[2, 0] = 0.2
+        K = Simplicial(np.linalg.cholesky(G).T)
+        assert not verify_certificate(Obstruction(cycle=(0, 1, 2)), K)
+
+    def test_obstruction_edge_within_tol_of_zero(self):
+        # Three negative edges, one of them -1e-12: an odd cycle only when
+        # tol admits that edge.
+        G = np.eye(3)
+        G[0, 1] = G[1, 0] = -0.3
+        G[1, 2] = G[2, 1] = -0.3
+        G[0, 2] = G[2, 0] = -1e-12
+        K = Simplicial(np.linalg.cholesky(G).T)
+        cert = Obstruction(cycle=(0, 1, 2))
+        assert not verify_certificate(cert, K)
+        assert verify_certificate(cert, K, tol=1e-14)
+
+    @pytest.mark.parametrize("flag", [f.name for f in fields(ContainmentReport)])
+    def test_containment_report_with_a_flag_flipped(self, flag):
+        K, L = Orthant(2), Lorentz(2)
+        rep = certify_necessary(K, L)
+        assert not verify_certificate(replace(rep, **{flag: not getattr(rep, flag)}), K, L)
+
+    def test_containment_report_needs_l(self):
+        rep = certify_necessary(Orthant(2), Lorentz(2))
+        assert not verify_certificate(rep, Orthant(2))
+
+    @pytest.mark.parametrize("cert", [None, "obstruction"])
+    def test_not_a_certificate(self, cert):
+        assert not verify_certificate(cert, triangle_cone(), Orthant(3))
 
 
 class TestReflectedOrthantInteriors:
