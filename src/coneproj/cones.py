@@ -67,6 +67,12 @@ def _dedupe_unit_rows(rows):
     return np.array(kept)
 
 
+def _read_only(M):
+    """M, made read-only: a cone hands out its stored arrays without a copy."""
+    M.flags.writeable = False
+    return M
+
+
 @dataclass(frozen=True)
 class Hyperplane:
     """Hyperplane {x : <normal, x> = <normal, anchor>} with a unit normal."""
@@ -75,13 +81,15 @@ class Hyperplane:
     anchor: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.normal, dtype=float)
+        u = np.array(self.normal, dtype=float)  # copies: the caller's arrays stay writeable
         n = float(_norms(u))
         if n == 0.0:
             raise ConeFormatError("hyperplane normal must be nonzero")
         # Idempotent: a normal already unit length is left untouched bit-for-bit.
-        object.__setattr__(self, "normal", u if abs(n - 1.0) < 1e-12 else u / n)
-        object.__setattr__(self, "anchor", np.asarray(self.anchor, dtype=float))
+        if abs(n - 1.0) >= 1e-12:
+            u /= n
+        object.__setattr__(self, "normal", _read_only(u))
+        object.__setattr__(self, "anchor", _read_only(np.array(self.anchor, dtype=float)))
 
 
 class _Cone:
@@ -89,10 +97,13 @@ class _Cone:
 
     A family overrides what it supports; an operation it lacks raises
     UnsupportedConeError from the defaults here.  Every family has two row
-    kernels, which map a (B, m) array to one result per row, row i depending
-    on row i alone, bit for bit: _project_rows to the (B, m) projections and
-    _margin_rows to the (B,) margins.  A row whose solve hits the iteration
-    cap comes out NaN.
+    kernels, which map a (B, m) array to results per row, row i depending on
+    row i alone, bit for bit.  _solve_rows gives (P, C, iterations): the
+    (B, m) projections, the coefficients that certify them (lambda >= 0 on
+    the generators, or mu >= 0 on the facet normals for halfspace cones;
+    None for the Lorentz and monotone cones) and the (B,) solver iterations
+    (None for closed forms).  _margin_rows gives the (B,) margins.  A row
+    whose solve hits the iteration cap comes out NaN.
     """
 
     @cached_property
@@ -109,9 +120,15 @@ class _Cone:
     def _facet_normals(self):
         raise UnsupportedConeError(f"facet enumeration unavailable for {type(self).__name__}")
 
-    def _project(self, x):
-        """(projection of x, active facet set or None, solver iterations)."""
-        return self._project_rows(x[None, :])[0], None, 0
+    def _project_rows(self, X):
+        return self._solve_rows(X)[0]
+
+    def _active(self, x, p, c):
+        """Facets active at the projection p of x, as indices into the rows of
+        _facet_normals, from the coefficients c that _solve_rows gave with p:
+        those whose c_i is not positive.  (Without coefficients project()
+        reports None.)"""
+        return frozenset((c <= 0.0).nonzero()[0].tolist())
 
     def _margin(self, x):
         margin = float(self._margin_rows(x[None, :])[0])
@@ -125,7 +142,7 @@ class _Cone:
     def _is_proper(self):
         return True
 
-    # True when _project_rows is a closed form, with no solver or PAVA loop per
+    # True when _solve_rows is a closed form, with no solver or PAVA loop per
     # row: the falsifier then opens with a block of isotonic.OPENING_BLOCK trials.
     _closed_form = False
 
@@ -148,23 +165,20 @@ class Orthant(_Cone):
         if self.dim < 1:
             raise ConeFormatError("orthant dimension must be positive")
 
-    @property
+    @cached_property
     def _generators(self):
-        return np.eye(self.dim)
+        return _read_only(np.eye(self.dim))
 
-    @property
+    @cached_property
     def _facet_normals(self):
-        return -np.eye(self.dim)
+        return _read_only(-np.eye(self.dim))
 
-    def _project_rows(self, X):
-        return np.maximum(X, 0.0)
+    def _solve_rows(self, X):
+        P = np.maximum(X, 0.0)
+        return P, P, None
 
     def _margin_rows(self, X):
         return X.min(axis=1)
-
-    def _project(self, x):
-        active = frozenset(np.flatnonzero(x <= 0.0).tolist())
-        return self._project_rows(x[None, :])[0], active, 0
 
     def _sign_flip(self, eps):
         return SignedOrthant(epsilon=eps)
@@ -194,31 +208,27 @@ class SignedOrthant(_Cone):
         eps = np.array(self.epsilon, dtype=float)  # a copy: the caller's array stays writeable
         if eps.ndim != 1 or eps.size < 1 or not np.all(np.abs(eps) == 1.0):
             raise ConeFormatError("epsilon entries must be exactly +1 or -1")
-        eps.flags.writeable = False
-        object.__setattr__(self, "epsilon", eps)
+        object.__setattr__(self, "epsilon", _read_only(eps))
 
     @property
     def dim(self):
         return int(self.epsilon.size)
 
-    @property
+    @cached_property
     def _generators(self):
-        return np.diag(self.epsilon)
+        return _read_only(np.diag(self.epsilon))
 
-    @property
+    @cached_property
     def _facet_normals(self):
-        return -np.diag(self.epsilon)
+        return _read_only(-np.diag(self.epsilon))
 
-    def _project_rows(self, X):
+    def _solve_rows(self, X):
         eps = self.epsilon
-        return eps * np.maximum(eps * X, 0.0)
+        C = np.maximum(eps * X, 0.0)
+        return eps * C, C, None
 
     def _margin_rows(self, X):
         return (self.epsilon * X).min(axis=1)
-
-    def _project(self, x):
-        active = frozenset(np.flatnonzero(self.epsilon * x <= 0.0).tolist())
-        return self._project_rows(x[None, :])[0], active, 0
 
     def _sign_flip(self, eps):
         return SignedOrthant(epsilon=self.epsilon * eps)
@@ -254,8 +264,7 @@ class Simplicial(_Cone):
         sv = np.linalg.svd(E, compute_uv=False)
         if sv[-1] < RANK_RTOL * sv[0]:
             raise ConeFormatError("generator columns are numerically dependent")
-        E.flags.writeable = False
-        object.__setattr__(self, "columns", E)
+        object.__setattr__(self, "columns", _read_only(E))
 
     @property
     def dim(self):
@@ -272,46 +281,29 @@ class Simplicial(_Cone):
     @cached_property
     def inverse(self):
         """Inverse of the generator matrix (read-only, computed once)."""
-        F = np.linalg.inv(self.columns)
-        F.flags.writeable = False
-        return F
+        return _read_only(np.linalg.inv(self.columns))
 
     @property
     def _generators(self):
         return self.columns
 
-    @property
+    @cached_property
     def _facet_normals(self):
         normals = -self.inverse  # negated dual generators, as rows
-        return normals / np.linalg.norm(normals, axis=1)[:, None]
+        return _read_only(normals / np.linalg.norm(normals, axis=1)[:, None])
 
-    def _project_rows(self, X):
-        if self.orthonormal:
-            return self._orthonormal_rows(X)
-        return self._nnls_rows(X)[0]
-
-    def _orthonormal_rows(self, X):
-        """E max(E^T x, 0): the projection when the columns E are orthonormal."""
+    def _solve_rows(self, X):
+        """(E lam, lam, iterations) per row, lam >= 0 the coefficients on the
+        columns E: max(E^T x, 0) in closed form when E is orthonormal, else NNLS."""
         E = self.columns
-        return _rows_times(np.maximum(_rows_times(X, E), 0.0), E.T)
-
-    def _nnls_rows(self, X):
-        """(E lam, lam, iterations) per row, lam >= 0 the NNLS coefficients on E."""
-        lam, iterations = _lawson_hanson_rows(self.columns, X, self._operators)
-        return _rows_times(lam, self.columns.T), lam, iterations
+        if self.orthonormal:
+            lam, iterations = np.maximum(_rows_times(X, E), 0.0), None
+        else:
+            lam, iterations = _lawson_hanson_rows(E, X, self._operators)
+        return _rows_times(lam, E.T), lam, iterations
 
     def _margin_rows(self, X):
         return _rows_times(X, self.inverse.T).min(axis=1)
-
-    def _project(self, x):
-        row = x[None, :]
-        if self.orthonormal:
-            p = self._orthonormal_rows(row)[0]
-            lam = _rows_times(row, self.columns)[0]  # unclamped: <= 0 where clamped to 0
-            iterations = 0
-        else:
-            p, lam, iterations = _one_row(*self._nnls_rows(row))
-        return p, frozenset(np.flatnonzero(lam <= 0.0).tolist()), iterations
 
     @cached_property
     def _dual(self):
@@ -339,8 +331,7 @@ class PolyhedralH(_Cone):
             raise ConeFormatError("zero facet normal")
         norms = np.where(np.abs(norms - 1.0) < 1e-12, 1.0, norms)
         U = _dedupe_unit_rows(U / norms[:, None])
-        U.flags.writeable = False
-        object.__setattr__(self, "normals", U)
+        object.__setattr__(self, "normals", _read_only(U))
 
     @property
     def _facet_normals(self):
@@ -349,21 +340,18 @@ class PolyhedralH(_Cone):
     def _margin_rows(self, X):
         return -_rows_times(X, self.normals.T).max(axis=1)
 
-    def _nnls_rows(self, X):
+    def _solve_rows(self, X):
         """(x - U^T mu, mu, iterations) per row: Moreau with the polar cone,
         generated by the normals U, with mu >= 0 the NNLS coefficients on U^T."""
         U = self.normals
         mu, iterations = _lawson_hanson_rows(U.T, X, self._operators)
         return X - _rows_times(mu, U), mu, iterations
 
-    def _project_rows(self, X):
-        return self._nnls_rows(X)[0]
-
-    def _project(self, x):
-        p, _, iterations = _one_row(*self._nnls_rows(x[None, :]))
+    def _active(self, x, p, c):
+        # Facets that p meets within 1e-9 max|x|: at a degenerate p a facet
+        # through it can carry mu_i = 0.
         vals = self.normals @ p
-        active = frozenset(np.flatnonzero(vals >= -1e-9 * np.max(np.abs(x))).tolist())
-        return p, active, iterations
+        return frozenset(np.flatnonzero(vals >= -1e-9 * np.max(np.abs(x))).tolist())
 
     @cached_property
     def _dual(self):
@@ -397,27 +385,22 @@ class PolyhedralV(_Cone):
             raise ConeFormatError("generators must be a nonempty (dim, k) array")
         V = _as_unit_columns(V)
         V = _dedupe_unit_rows(V.T).T
-        V.flags.writeable = False
-        object.__setattr__(self, "generators", V)
+        object.__setattr__(self, "generators", _read_only(V))
 
     @property
     def _generators(self):
         return self.generators
 
-    def _nnls_rows(self, X):
+    def _solve_rows(self, X):
         """(V lam, lam, iterations) per row, lam >= 0 the NNLS coefficients on V."""
         lam, iterations = _lawson_hanson_rows(self.generators, X, self._operators)
         return _rows_times(lam, self.generators.T), lam, iterations
 
-    def _project_rows(self, X):
-        return self._nnls_rows(X)[0]
-
     def _margin_rows(self, X):
         return -_row_norms(X - self._project_rows(X))
 
-    def _project(self, x):
-        p, _, iterations = _one_row(*self._nnls_rows(x[None, :]))
-        return p, None, iterations
+    def _active(self, x, p, c):
+        return None  # lam lives on the generators, and no facets are enumerated
 
     @cached_property
     def _dual(self):
@@ -447,20 +430,20 @@ class Lorentz(_Cone):
         if self.dim < 2:
             raise ConeFormatError("Lorentz cone requires dim >= 2")
 
-    @property
+    @cached_property
     def _generators(self):
         if self.dim != 2:
             return super()._generators
         # The 2-dimensional Lorentz cone is the simplicial cone on (1,1), (-1,1).
-        return _as_unit_columns(np.array([[1.0, -1.0], [1.0, 1.0]]))
+        return _read_only(_as_unit_columns(np.array([[1.0, -1.0], [1.0, 1.0]])))
 
-    @property
+    @cached_property
     def _facet_normals(self):
         if self.dim != 2:
             return super()._facet_normals
-        return -self._generators.T  # orthonormal generators: inverse = transpose
+        return _read_only(-self._generators.T)  # orthonormal generators: inverse = transpose
 
-    def _project_rows(self, X):
+    def _solve_rows(self, X):
         t = X[:, -1]
         nx = _row_norms(X[:, :-1])
         # alpha = (t + ||xbar||) / 2 clamped at 0.  A row inside the cone
@@ -469,7 +452,7 @@ class Lorentz(_Cone):
         alpha = np.maximum(0.5 * (t + nx), 0.0)
         P = X * np.divide(alpha, nx, out=np.ones_like(nx), where=alpha < nx)[:, None]
         P[:, -1] = np.maximum(alpha, t)
-        return P
+        return P, None, None
 
     def _margin_rows(self, X):
         return X[:, -1] - _row_norms(X[:, :-1])
@@ -498,21 +481,19 @@ class MonotoneNonneg(_Cone):
 
     @cached_property
     def _generators(self):
-        E = monotone_generators(self.dim)
-        E.flags.writeable = False  # shared by every caller
-        return E
+        return _read_only(monotone_generators(self.dim))
 
-    @property
+    @cached_property
     def _facet_normals(self):
         # x_i - x_{i+1} >= 0 for i < m, and x_m >= 0.
         m = self.dim
         rows = (np.eye(m, k=1) - np.eye(m))[:-1] / np.sqrt(2.0)
         last = np.zeros((1, m))
         last[0, -1] = -1.0
-        return np.vstack([rows, last])
+        return _read_only(np.vstack([rows, last]))
 
-    def _project_rows(self, X):
-        return np.maximum(_isotonic_rows(X), 0.0)
+    def _solve_rows(self, X):
+        return np.maximum(_isotonic_rows(X), 0.0), None, None
 
     def _margin_rows(self, X):
         return np.minimum((X[:, :-1] - X[:, 1:]).min(axis=1, initial=np.inf), X[:, -1])
@@ -526,14 +507,6 @@ ConeSpec = (
     Orthant | SignedOrthant | Simplicial | PolyhedralH | PolyhedralV
     | Lorentz | MonotoneNonneg
 )
-
-
-def _one_row(P, C, iterations):
-    """(point, coefficients, iterations) of a one-row NNLS kernel call;
-    IndeterminateError where its solve hit the iteration cap."""
-    if math.isnan(C[0, 0]):  # the whole row is NaN
-        raise IndeterminateError("nnls iteration cap exceeded")
-    return P[0], C[0], int(iterations[0])
 
 
 def _check_dim(cone, x):

@@ -6,10 +6,13 @@ pool-adjacent-violators.  Every other polyhedral cone goes through one exact
 Lawson-Hanson nonnegative least squares solve: on the generators for
 simplicial and generator cones (P_K x = V lambda), and on the transposed
 facet normals for halfspace cones, whose projection follows from Moreau's
-decomposition with the polar cone (P_K x = x - U^T mu).  Each route is a row
-kernel of its family's class in cones.py; project() makes its one-row call,
-the falsifier calls it on whole blocks.  An exhaustive active-set oracle
-(project_oracle) provides an independent reference for validation.
+decomposition with the polar cone (P_K x = x - U^T mu).  Each route is the
+one row kernel of its family's class in cones.py, _solve_rows, which gives
+the projections with the coefficients (lambda or mu) that certify them and
+the solver iterations.  project() makes its one-row call and reads the
+active facets off the coefficients; the falsifier calls it on whole blocks.
+An exhaustive active-set oracle (project_oracle) provides an independent
+reference for validation.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .cones import (
     facet_normals,
     generator_matrix,
 )
-from .kernels import IndeterminateError
 
 ORACLE_MAX_FACETS = 20
 
@@ -114,22 +116,23 @@ def project(cone, x):
     """Metric projection of x onto the cone, with Moreau companions.
 
     The dual point is P_{K*}(-x) = p - x; the result records the residual,
-    the active facet set when the representation exposes one, and the
-    iteration count (0 for closed forms).  Raises NonConvergenceError when
-    the Lawson-Hanson solve exhausts its iteration cap.
+    the active facets (indices into the rows of facet_normals, None for
+    generator, Lorentz and monotone cones), and the iteration count (0 for
+    closed forms).  Raises NonConvergenceError when the Lawson-Hanson solve
+    exhausts its iteration cap.
     """
     x = _check_dim(cone, x)
-    try:
-        p, active, iterations = cone._project(x)
-    except IndeterminateError as exc:
-        raise NonConvergenceError(str(exc)) from exc
+    P, C, iterations = cone._solve_rows(x[None, :])
+    p = P[0]
+    if iterations is not None and math.isnan(p[0]):  # a NaN row: its solve hit the cap
+        raise NonConvergenceError("nnls iteration cap exceeded")
     q = p - x
     return ProjectionResult(
         point=p,
         dual_point=q,
         residual=math.hypot(*q.tolist()),
-        active_facets=active,
-        iterations=iterations,
+        active_facets=None if C is None else cone._active(x, p, C[0]),
+        iterations=0 if iterations is None else int(iterations[0]),
     )
 
 

@@ -254,11 +254,22 @@ class TestFacets:
 class TestStoredArraysReadOnly:
     @pytest.mark.parametrize("get, cone", [
         (generator_matrix, Simplicial(np.array([[2.0, 1.0], [0.0, 1.0]]))),
+        (facet_normals, Simplicial(np.array([[2.0, 1.0], [0.0, 1.0]]))),
         (generator_matrix, PolyhedralV(2, np.array([[1.0, 1.0], [0.0, 1.0]]))),
         (generator_matrix, MonotoneNonneg(3)),
+        (facet_normals, MonotoneNonneg(3)),
         (facet_normals, PolyhedralH(2, -np.eye(2))),
-    ], ids=["simplicial", "generators", "monotone_nonneg", "halfspaces"])
+        (generator_matrix, Orthant(2)),
+        (facet_normals, Orthant(2)),
+        (generator_matrix, SignedOrthant(np.array([1.0, -1.0]))),
+        (facet_normals, SignedOrthant(np.array([1.0, -1.0]))),
+        (generator_matrix, Lorentz(2)),
+        (facet_normals, Lorentz(2)),
+    ], ids=["simplicial", "simplicial-facets", "generators", "monotone_nonneg",
+            "monotone_nonneg-facets", "halfspaces", "orthant", "orthant-facets",
+            "signed_orthant", "signed_orthant-facets", "lorentz2", "lorentz2-facets"])
     def test_write_raises(self, get, cone):
+        assert get(cone) is get(cone)  # stored once
         with pytest.raises(ValueError):
             get(cone)[0, 0] = -1.0
 

@@ -157,6 +157,61 @@ def test_residual_does_not_overflow():
     assert project(Orthant(2), np.array([1e200, -1e200])).residual == 1e200
 
 
+# Columns (1, 1) and (-1, 1), normalized: E^T x is exactly 0 on either column.
+ROTATION2 = Simplicial(np.array([[1.0, -1.0], [1.0, 1.0]]))
+# 1e300 x takes E^T x off 0 in the last bits; a power of two scales it exactly.
+EXACT_SCALES = (1.0, 2.0**997, 2.0**-997)
+
+
+def _active_facet_cases():
+    """(cone, x, active facets, iterations, scales) on degenerate rows: the
+    origin, -0.0 entries, points on a facet, zero coefficients and halfspace
+    rows within 1e-9 max|x| of a facet."""
+    orthant = Orthant(3)
+    signed = SignedOrthant(np.array([1.0, -1.0, 1.0]))
+    ring4 = ring_cone(4)
+    scales = (1.0, 1e300, 1e-300)
+    yield orthant, [0.0, 0.0, 0.0], {0, 1, 2}, 0, scales
+    yield orthant, [-0.0, 1.0, -2.0], {0, 2}, 0, scales
+    yield orthant, [0.0, 2.0, 3.0], {0}, 0, scales
+    yield signed, [-0.0, 0.0, 1.0], {0, 1}, 0, scales
+    yield signed, [2.0, -3.0, -1.0], {2}, 0, scales
+    yield ROTATION2, [0.0, 0.0], {0, 1}, 0, scales
+    yield ROTATION2, [1.0, 1.0], {1}, 0, EXACT_SCALES
+    yield ROTATION2, [-1.0, 1.0], {0}, 0, EXACT_SCALES
+    yield ROTATION2, [-2.0, 0.0], {0}, 0, scales
+    yield ROTATION2, [-0.0, -1.0], {0, 1}, 0, scales
+    yield SKEW_SIMPLICIAL, [0.0, 0.0], {0, 1}, 0, scales
+    yield SKEW_SIMPLICIAL, [-0.0, 1.0], {0}, 1, scales
+    yield SKEW_SIMPLICIAL, [1.0, 0.0], {1}, 1, scales
+    yield SKEW_SIMPLICIAL, [-1.0, 2.0], {0}, 1, scales
+    yield SKEW_SIMPLICIAL, [3.0, -1.0], {1}, 1, scales
+    yield ring4, [0.0, 0.0, 0.0], {0, 1, 2, 3}, 0, scales
+    yield ring4, [0.0, -0.0, 1.0], set(), 0, scales
+    yield ring4, [1.0, 0.0, 1.0], {0}, 0, scales
+    yield ring4, [1.0 - 5e-10, 0.0, 1.0], {0}, 0, scales
+    yield ring4, [1.0 - 2e-9, 0.0, 1.0], set(), 0, scales
+    yield ring4, [2.0, 0.5, 0.3], {0}, 1, scales
+    yield ring_cone(8), [2.0, 0.5, 0.3], {0, 1}, 2, scales
+    yield THREE_GENERATORS, [0.0, -0.0, 0.0], None, 0, scales
+    yield THREE_GENERATORS, [1.0, 0.0, 1.0], None, 1, scales
+    yield THREE_GENERATORS, [2.0, -1.0, 0.5], None, 1, scales
+    yield Lorentz(3), [-0.0, 0.0, 0.0], None, 0, scales
+    yield Lorentz(3), [3.0, 4.0, 5.0], None, 0, scales
+    yield Lorentz(2), [1.0, 1.0], None, 0, scales
+    yield MonotoneNonneg(3), [0.0, -0.0, 0.0], None, 0, scales
+    yield MonotoneNonneg(3), [1.0, 2.0, -1.0], None, 0, scales
+
+
+@pytest.mark.parametrize("cone, x, active, iterations, scales", _active_facet_cases(),
+                         ids=lambda v: type(v).__name__ if isinstance(v, cones._Cone) else None)
+def test_active_facets_and_iterations(cone, x, active, iterations, scales):
+    for s in scales:
+        r = project(cone, s * np.array(x))
+        assert r.active_facets == (None if active is None else frozenset(active)), s
+        assert type(r.iterations) is int and r.iterations == iterations, s
+
+
 ROTATION4 = np.linalg.qr(np.random.default_rng(4).standard_normal((4, 4)))[0]
 ROW_KERNEL_CONES = [
     Orthant(4),
@@ -235,11 +290,16 @@ def test_operator_cache_is_bounded(monkeypatch, rng):
         np.testing.assert_array_equal(ring_cone(8)._project_rows(x[None, :])[0], p)
 
 
-def test_solver_cap_raises_nonconvergence(monkeypatch):
+@pytest.mark.parametrize("cone, x", [
+    (SKEW_SIMPLICIAL, [-1.0, 2.0]),
+    (ring_cone(8), [2.0, 0.5, 0.3]),
+    (THREE_GENERATORS, [2.0, -1.0, 0.5]),
+], ids=["simplicial", "halfspaces", "generators"])
+def test_solver_cap_raises_nonconvergence(monkeypatch, cone, x):
     monkeypatch.setattr(cones, "_lawson_hanson_rows",
                         partial(kernels._lawson_hanson_rows, max_iter=0))
     with pytest.raises(NonConvergenceError):
-        project(ring_cone(8), np.array([2.0, 0.5, 0.3]))
+        project(cone, np.array(x))
 
 
 NONFINITE_CONES = [
@@ -385,6 +445,19 @@ class TestHyperplane:
         h = Hyperplane(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
         x = np.array([0.5, 0.5])
         np.testing.assert_allclose(project_hyperplane(h, x), x, atol=1e-12)
+
+    def test_copies_its_arrays(self):
+        u = np.array([1.0, 0.0])  # already unit length
+        a = np.zeros(2)
+        h = Hyperplane(u, a)
+        u[:] = [0.0, 1.0]  # the caller's arrays stay writeable
+        a[0] = 5.0
+        assert h.normal.tolist() == [1.0, 0.0] and h.anchor.tolist() == [0.0, 0.0]
+        np.testing.assert_array_equal(project_hyperplane(h, np.array([1.0, 1.0])), [0.0, 1.0])
+        with pytest.raises(ValueError):
+            h.normal[0] = 0.0
+        with pytest.raises(ValueError):
+            h.anchor[0] = 1.0
 
     def test_idempotent(self, rng):
         h = Hyperplane(rng.standard_normal(4), rng.standard_normal(4))
