@@ -22,12 +22,14 @@ import numpy as np
 from scipy.special import ndtri
 
 from .kernels import (
+    EPS,
     IndeterminateError,
     RANK_RTOL,
     _feasible,
     _isotonic_rows,
     _lawson_hanson_rows,
     _norms,
+    _row_min,
     _row_norms,
     _rows_times,
 )
@@ -178,7 +180,7 @@ class Orthant(_Cone):
         return P, P, None
 
     def _margin_rows(self, X):
-        return X.min(axis=1)
+        return _row_min(X)
 
     def _sign_flip(self, eps):
         return SignedOrthant(epsilon=eps)
@@ -228,7 +230,7 @@ class SignedOrthant(_Cone):
         return eps * C, C, None
 
     def _margin_rows(self, X):
-        return (self.epsilon * X).min(axis=1)
+        return _row_min(self.epsilon * X)
 
     def _sign_flip(self, eps):
         return SignedOrthant(epsilon=self.epsilon * eps)
@@ -302,8 +304,13 @@ class Simplicial(_Cone):
             lam, iterations = _lawson_hanson_rows(E, X, self._operators)
         return _rows_times(lam, E.T), lam, iterations
 
+    def _active(self, x, p, c):
+        # NNLS zeros are exact; on a facet the closed form's E^T x is off 0 by about m eps max|x|.
+        tol = self.dim * EPS * float(np.max(np.abs(x))) if self.orthonormal else 0.0
+        return frozenset((c <= tol).nonzero()[0].tolist())
+
     def _margin_rows(self, X):
-        return _rows_times(X, self.inverse.T).min(axis=1)
+        return _row_min(_rows_times(X, self.inverse.T))
 
     @cached_property
     def _dual(self):
@@ -338,7 +345,7 @@ class PolyhedralH(_Cone):
         return self.normals
 
     def _margin_rows(self, X):
-        return -_rows_times(X, self.normals.T).max(axis=1)
+        return _row_min(-_rows_times(X, self.normals.T))
 
     def _solve_rows(self, X):
         """(x - U^T mu, mu, iterations) per row: Moreau with the polar cone,
@@ -496,7 +503,7 @@ class MonotoneNonneg(_Cone):
         return np.maximum(_isotonic_rows(X), 0.0), None, None
 
     def _margin_rows(self, X):
-        return np.minimum((X[:, :-1] - X[:, 1:]).min(axis=1, initial=np.inf), X[:, -1])
+        return np.minimum(_row_min(X[:, :-1] - X[:, 1:], initial=np.inf), X[:, -1])
 
     @cached_property
     def _dual(self):

@@ -22,6 +22,7 @@ from scipy.special import ndtri
 from .cones import (
     DimensionMismatchError,
     UnsupportedConeError,
+    _check_dim,
     cone_margin,
     dual,
     facet_normals,
@@ -31,7 +32,7 @@ from .cones import (
     membership,
 )
 from .kernels import IndeterminateError, _feasible
-from .projections import NonConvergenceError, project
+from .projections import NonConvergenceError
 
 DEFAULT_TOL = 1e-9
 
@@ -144,9 +145,10 @@ class Counterexample:
             return False
         if not leq(L, self.x, self.y, tol):
             return False
-        px = project(K, self.x).point
-        py = project(K, self.y).point
-        v = py - px
+        P, _, iterations = K._solve_rows(np.stack([_check_dim(K, self.x), _check_dim(K, self.y)]))
+        if iterations is not None and np.isnan(P[:, 0]).any():
+            raise NonConvergenceError("nnls iteration cap exceeded")
+        v = P[1] - P[0]
         scale = 1.0 + math.hypot(*v.tolist())
         return cone_margin(L, v) < -10.0 * tol * scale
 
@@ -435,7 +437,8 @@ def _uniforms(words):
     With 53 bits the sum k + 1/2 would round, and the largest word would map
     to exactly 1.
     """
-    u = (words >> 12) + 0.5
+    u = (words >> 12).astype(float)
+    u += 0.5
     u *= 2.0**-52
     return u
 
@@ -494,15 +497,19 @@ def falsify(K, L, cfg=FalsifierConfig()):
         u = _uniforms(stream.random_raw(count * width).reshape(count, width))
         d = (directions(u[:, m:m + n_dir]) if directions is not None
              else _halfspace_direction(L, cfg.seed, cfg.scale, t))
-        x = cfg.scale * ndtri(u[:, :m])
-        xy = np.concatenate([x, x + d])
+        xy = np.empty((2 * count, m))  # the x rows, then the y rows
+        x = ndtri(u[:, :m], out=xy[:count])
+        x *= cfg.scale
+        np.add(x, d, out=xy[count:])
         p = K._project_rows(xy)
         v = p[count:] - p[:count]
         mg = L._margin_rows(v)
         # 1 + ||v|| >= 1, so only rows below the bare threshold can qualify.
         # A NaN margin marks a trial whose solve hit its iteration cap: trial
         # by trial it raises there, unless an earlier trial is a violation.
-        for i in (~(mg >= threshold)).nonzero()[0]:
+        # A block whose least margin passes (NaN does not) has no such row.
+        low = () if mg.min() >= threshold else (~(mg >= threshold)).nonzero()[0]
+        for i in low:
             if math.isnan(mg[i]):
                 error = NonConvergenceError if np.isnan(v[i]).any() else IndeterminateError
                 raise error(f"trial {t + i}: nnls iteration cap exceeded")

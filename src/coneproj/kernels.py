@@ -79,9 +79,17 @@ def _rows_times(X, M):
     return np.matmul(X[:, None, :], M)[:, 0, :]
 
 
+def _row_min(X, initial=None):
+    """X.min(axis=1, initial=initial) of a (B, n) array, reduced along the block
+    axis of a contiguous transposed copy: n passes over B entries, not B over n.
+    Min is exact, so only a tie of +0.0 and -0.0 can keep another zero."""
+    return np.minimum.reduce(np.ascontiguousarray(X.T), axis=0, initial=initial)
+
+
 def _row_norms(X):
-    """Euclidean norm of each row of a (B, n) array, without overflow."""
-    return np.hypot.reduce(X, axis=1, initial=0.0)
+    """Euclidean norm of each row of a (B, n) array, without overflow: np.hypot
+    folded over the columns in order along the block axis, bit for bit."""
+    return np.hypot.reduce(np.ascontiguousarray(X.T), axis=0, initial=0.0)
 
 
 def _norms(M, axis=None):
@@ -92,10 +100,15 @@ def _norms(M, axis=None):
     back.  Powers of two commute with the squares, sums and square root, so
     the result is bit-identical to np.linalg.norm wherever that neither
     overflows nor reaches subnormals, and finite and nonzero for every finite
-    nonzero vector.
+    nonzero vector.  The prescale is skipped where every largest entry lies in
+    [2**-400, 2**400]: no square overflows there, and a square that underflows
+    is below 2**-222 times the largest one.
     """
     M = np.asarray(M, dtype=float)
-    e = np.frexp(np.abs(M).max(axis=axis, keepdims=True, initial=0.0))[1]
+    top = np.abs(M).max(axis=axis, keepdims=True, initial=0.0)
+    if all(2.0**-400 <= t <= 2.0**400 for t in top.ravel().tolist()):
+        return np.linalg.norm(M, axis=axis)
+    e = np.frexp(top)[1]
     n = np.linalg.norm(np.ldexp(M, -e), axis=axis)
     return np.ldexp(n, e.reshape(np.shape(n)))
 

@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields, replace
 from functools import partial
 
@@ -14,6 +15,7 @@ from coneproj import (
     Obstruction,
     Orthant,
     PolyhedralH,
+    PolyhedralV,
     SamplingError,
     SignedOrthant,
     Simplicial,
@@ -21,6 +23,7 @@ from coneproj import (
     alternatives_check,
     certify_necessary,
     check_subdual,
+    cone_margin,
     dual,
     falsify,
     gram,
@@ -29,6 +32,7 @@ from coneproj import (
     lp_feasible,
     membership,
     orthant_isotone_recognize,
+    project,
     sign_flip_search,
     sign_flip_search_gram,
     triple_obstruction,
@@ -449,6 +453,52 @@ class TestVerifyCertificate:
         cex = falsify(Orthant(2), Lorentz(2), cfg)
         assert cex is not None
         assert verify_certificate(cex, Orthant(2), Lorentz(2))
+
+    @staticmethod
+    def two_projection_verdict(cex, K, L, tol=isotonic.DEFAULT_TOL):
+        """The counterexample check with one project() call per point."""
+        try:
+            if not leq(L, cex.x, cex.y, tol):
+                return False
+            v = project(K, cex.y).point - project(K, cex.x).point
+            return cone_margin(L, v) < -10.0 * tol * (1.0 + math.hypot(*v.tolist()))
+        except (ValueError, kernels.IndeterminateError):
+            return False
+
+    def test_counterexample_check_matches_two_projections(self):
+        # The refuted pairs of acceptance criteria 5, 7 and 8, and tampered
+        # copies of their counterexamples: the one row-kernel call on the
+        # pair gives every verdict as two project() calls do.
+        rng = np.random.default_rng(1005)
+        pairs = [(triangle_cone(), random_simplicial(rng, 3)) for _ in range(20)]
+        pairs += [(Orthant(m), Lorentz(m)) for m in (2, 3)]
+        rng = np.random.default_rng(1008)
+        pairs += [(Lorentz(m), random_simplicial(rng, m)) for m in (3, 4, 5) for _ in range(50)]
+        verdicts = set()
+        for K, L in pairs:
+            cex = falsify(K, L, FalsifierConfig(trials=100_000, seed=42))
+            d = cex.y - cex.x
+            for c in (cex, replace(cex, x=cex.y, y=cex.x), replace(cex, y=cex.x),
+                      replace(cex, y=cex.x + 0.5 * d), replace(cex, x=-cex.x, y=-cex.x + d),
+                      replace(cex, x=1e300 * cex.x, y=1e300 * cex.y),
+                      replace(cex, x=np.append(cex.x, 0.0), y=np.append(cex.y, 1.0))):
+                verdict = verify_certificate(c, K, L)
+                assert verdict == self.two_projection_verdict(c, K, L)
+                verdicts.add(verdict)
+            assert verify_certificate(cex, K, L)
+        assert verdicts == {True, False}
+
+    def test_counterexample_check_at_the_iteration_cap(self, monkeypatch):
+        cex = falsify(triangle_cone(), Lorentz(3), FalsifierConfig(trials=1000, seed=42))
+        generators = PolyhedralV(3, np.eye(3))
+        assert verify_certificate(cex, triangle_cone(), Lorentz(3))
+        monkeypatch.setattr(cones, "_lawson_hanson_rows",
+                            partial(kernels._lawson_hanson_rows, max_iter=0))
+        # A capped projection raises; a capped margin of L is a failed check.
+        with pytest.raises(NonConvergenceError):
+            verify_certificate(cex, triangle_cone(), Lorentz(3))
+        assert not verify_certificate(replace(cex, y=cex.x + np.abs(cex.y - cex.x)),
+                                      Orthant(3), generators)
 
     def test_needs_l_for_counterexample(self):
         cfg = FalsifierConfig(trials=10_000, seed=42)

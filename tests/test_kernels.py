@@ -12,7 +12,7 @@ from coneproj import (
     nnls,
 )
 from coneproj import kernels
-from coneproj.kernels import DEFAULT_BOX, DEFAULT_MARGIN, _norms
+from coneproj.kernels import DEFAULT_BOX, DEFAULT_MARGIN, _norms, _row_min, _row_norms
 
 
 def unit_rows(constraints):
@@ -384,3 +384,40 @@ class TestNorms:
 
     def test_zero_vector(self):
         assert np.array_equal(_norms(np.zeros((2, 3)), axis=1), np.zeros(2))
+
+    def test_fast_path_matches_prescaled_norm(self, rng):
+        # Vectors whose largest entry is 2**k, k from -1074 to 1023, mixing
+        # entries down to the subnormals (the rest at most 2**(k-3), so no
+        # norm overflows): the bits of the prescaled route.
+        def prescaled(M, axis):
+            e = np.frexp(np.abs(M).max(axis=axis, keepdims=True, initial=0.0))[1]
+            n = np.linalg.norm(np.ldexp(M, -e), axis=axis)
+            return np.ldexp(n, e.reshape(np.shape(n)))
+
+        for k in range(-1074, 1024):
+            M = np.ldexp(rng.uniform(0.5, 1.0, (3, 4)) * rng.choice([-1.0, 1.0], (3, 4)),
+                         k - 3 - rng.integers(0, 1100, (3, 4)) * rng.integers(0, 2, (3, 4)))
+            M[:, 0] = math.ldexp(1.0, k)
+            for axis in (None, 0, 1):
+                np.testing.assert_array_equal(_norms(M, axis=axis), prescaled(M, axis))
+
+
+ROW_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.0**-1022,
+                       -2.0**-1030, 1.0, -3.0, 1e300])
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_row_reductions_match_numpy(m, rng):
+    # Bit for bit, as the sign bits show, along the rows of blocks of every size.
+    for size in (1, 2, 7, 64, 1024):
+        X = rng.choice(ROW_VALUES, (size, m))
+        np.testing.assert_array_equal(_row_norms(X).view(np.uint64),
+                                      np.hypot.reduce(X, axis=1, initial=0.0).view(np.uint64))
+        low = X.min(axis=1)
+        # A row whose minimum is a zero of both signs may keep either one,
+        # depending on how numpy's SIMD lanes split the row.
+        zeros = X == 0.0
+        tie = (low == 0.0) & (zeros & np.signbit(X)).any(axis=1) & (zeros & ~np.signbit(X)).any(axis=1)
+        got = _row_min(X)
+        np.testing.assert_array_equal(got[~tie].view(np.uint64), low[~tie].view(np.uint64))
+        assert (got[tie] == 0.0).all()

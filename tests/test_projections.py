@@ -159,8 +159,9 @@ def test_residual_does_not_overflow():
 
 # Columns (1, 1) and (-1, 1), normalized: E^T x is exactly 0 on either column.
 ROTATION2 = Simplicial(np.array([[1.0, -1.0], [1.0, 1.0]]))
-# 1e300 x takes E^T x off 0 in the last bits; a power of two scales it exactly.
-EXACT_SCALES = (1.0, 2.0**997, 2.0**-997)
+# 1e300 x takes E^T x off 0 in the last bits, and a power of two scales it
+# exactly: the active facets must come out the same.
+ROTATION_SCALES = (1.0, 1e-300, 1e300, 2.0**997, 2.0**-997)
 
 
 def _active_facet_cases():
@@ -177,8 +178,8 @@ def _active_facet_cases():
     yield signed, [-0.0, 0.0, 1.0], {0, 1}, 0, scales
     yield signed, [2.0, -3.0, -1.0], {2}, 0, scales
     yield ROTATION2, [0.0, 0.0], {0, 1}, 0, scales
-    yield ROTATION2, [1.0, 1.0], {1}, 0, EXACT_SCALES
-    yield ROTATION2, [-1.0, 1.0], {0}, 0, EXACT_SCALES
+    yield ROTATION2, [1.0, 1.0], {1}, 0, ROTATION_SCALES
+    yield ROTATION2, [-1.0, 1.0], {0}, 0, ROTATION_SCALES
     yield ROTATION2, [-2.0, 0.0], {0}, 0, scales
     yield ROTATION2, [-0.0, -1.0], {0, 1}, 0, scales
     yield SKEW_SIMPLICIAL, [0.0, 0.0], {0, 1}, 0, scales
@@ -251,11 +252,23 @@ def test_margin_kernel_matches_cone_margin(cone, rng):
         assert mg == cone_margin(cone, x)
 
 
-SOLVER_CONES = [SKEW_SIMPLICIAL, ring_cone(8), THREE_GENERATORS, MonotoneNonneg(4)]
+# Every family: the four solver cones first, under their type names, then
+# the closed forms, an orthonormal simplicial cone among them.
+BLOCK_CONES = {
+    "Simplicial": SKEW_SIMPLICIAL,
+    "PolyhedralH": ring_cone(8),
+    "PolyhedralV": THREE_GENERATORS,
+    "MonotoneNonneg": MonotoneNonneg(4),
+    "Orthant": Orthant(4),
+    "SignedOrthant": SignedOrthant(np.array([1.0, -1.0, -1.0, 1.0])),
+    "Lorentz": Lorentz(4),
+    "Lorentz2": Lorentz(2),
+    "OrthonormalSimplicial": Simplicial(ROTATION4),
+}
 
 
-@pytest.mark.parametrize("cone", SOLVER_CONES, ids=lambda K: type(K).__name__)
-@pytest.mark.parametrize("size", [1, 2, 7, 512])
+@pytest.mark.parametrize("cone", BLOCK_CONES.values(), ids=BLOCK_CONES.keys())
+@pytest.mark.parametrize("size", [1, 2, 7, 512, 1024])
 def test_row_kernels_independent_of_block(cone, size):
     # Rows at the extremes of scale, each inside a block of random rows, must
     # come out bit for bit as in their own one-row call.
