@@ -553,8 +553,8 @@ def cone_margin(cone, x):
 
 def membership(cone, x, tol=MEMBERSHIP_TOL):
     """True iff x lies in the cone within tolerance tol."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not 0 <= tol < math.inf:
+        raise ValueError("tol must be finite and nonnegative")
     x = _check_dim(cone, x)
     # hypot: the norm of a finite vector stays finite at every scale.
     return cone_margin(cone, x) >= -tol * (1.0 + math.hypot(*x.tolist()))

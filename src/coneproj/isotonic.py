@@ -180,7 +180,7 @@ class FalsifierConfig:
     scale: float = 10.0
 
     def __post_init__(self):
-        if self.trials < 1 or self.tol <= 0 or self.scale <= 0:
+        if self.trials < 1 or not (0 < self.tol < math.inf and 0 < self.scale < math.inf):
             raise ValueError("invalid falsifier configuration")
 
 

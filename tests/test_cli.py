@@ -2,11 +2,13 @@ import json
 import math
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from coneproj import cones, isotonic, kernels
 from coneproj.cli import main
 
 
@@ -350,3 +352,72 @@ def test_cli_import_leaves_scipy_optimize_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def _cap_nnls(monkeypatch):
+    monkeypatch.setattr(cones, "_lawson_hanson_rows",
+                        partial(kernels._lawson_hanson_rows, max_iter=0))
+
+
+def _fail_verification(monkeypatch):
+    monkeypatch.setattr(isotonic, "verify_certificate", lambda *args, **kwargs: False)
+
+
+# (arguments, fault, exit code): every library and usage error ends in its
+# documented exit code, never in a traceback.
+ERROR_EXITS = [
+    pytest.param(["project", "simplicial3", "--point", "1,-2,3"], _cap_nnls, 2,
+                 id="project-nnls-cap"),
+    pytest.param(["falsify", "simplicial3", "orthant3", "--trials", "10"], _cap_nnls, 2,
+                 id="falsify-nnls-cap"),
+    pytest.param(["certify", "orthant2", "lorentz2"], _fail_verification, 2,
+                 id="certify-unverified"),
+    pytest.param(["sign-flip", "identity"], _fail_verification, 2, id="sign-flip-unverified"),
+    pytest.param(["falsify", "orthant2", "lorentz2"], _fail_verification, 2,
+                 id="falsify-unverified"),
+    *[pytest.param([*args, "--tol", tol], None, 3, id=f"{args[0]}-tol-{tol}")
+      for args in (["certify", "orthant3", "orthant3"], ["sign-flip", "identity"],
+                   ["falsify", "orthant2", "lorentz2"], ["recognize-orthant-isotone", "orthant3"])
+      for tol in ("nan", "inf", "-1")],
+    pytest.param(["falsify", "orthant2", "orthant2", "--scale", "nan"], None, 3,
+                 id="falsify-scale-nan"),
+    pytest.param(["falsify", "orthant2", "orthant2", "--scale", "inf"], None, 3,
+                 id="falsify-scale-inf"),
+    pytest.param(["project", "missing", "--point", "1"], None, 3, id="missing-cone-file"),
+    pytest.param(["falsify", "orthant2", "lorentz2", "--trials", "abc"], None, 3,
+                 id="unparsable-trials"),
+    pytest.param(["certify", "orthant2"], None, 3, id="missing-argument"),
+    pytest.param(["no-such-command"], None, 3, id="unknown-command"),
+    pytest.param(["project", "orthant3", "--point", '[{"a": 1}]'], None, 3,
+                 id="point-of-objects"),
+    pytest.param(["project", "orthant3", "--point", "1,2,3", "--out", "unwritable"], None, 3,
+                 id="unwritable-out"),
+]
+
+
+@pytest.mark.parametrize("args, fault, code", ERROR_EXITS)
+def test_error_exit_codes(runner, monkeypatch, tmp_path, orthant2, orthant3, lorentz2,
+                          args, fault, code):
+    files = {
+        "orthant2": orthant2,
+        "orthant3": orthant3,
+        "lorentz2": lorentz2,
+        "identity": write_cone(tmp_path, "id.json", {
+            "type": "simplicial", "columns": [[1.0, 0.0], [0.0, 1.0]]}),
+        "simplicial3": write_cone(tmp_path, "simp.json", {
+            "type": "simplicial", "columns": [[2.0, 1.0, 0.0], [0.0, 1.0, 0.3], [0.1, 0.0, 1.0]]}),
+        "missing": str(tmp_path / "missing.json"),
+        "unwritable": str(tmp_path / "no-such-dir" / "report.json"),
+    }
+    if fault is not None:
+        fault(monkeypatch)
+    result = runner.invoke(main, [files.get(a, a) for a in args])
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == code
+
+
+@pytest.mark.parametrize("args", [["--help"], ["falsify", "--help"]], ids=["main", "falsify"])
+def test_help_exits_zero(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert "Usage:" in result.output

@@ -55,6 +55,12 @@ class TestMembership:
         with pytest.raises(DimensionMismatchError):
             membership(Orthant(3), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        # A NaN tolerance admits nothing and an infinite one everything.
+        with pytest.raises(ValueError, match="tol"):
+            membership(Orthant(2), np.array([1.0, 0.0]), tol)
+
     def test_monotone(self):
         assert membership(MonotoneNonneg(3), np.array([3.0, 2.0, 2.0]))
         assert not membership(MonotoneNonneg(3), np.array([1.0, 2.0, 0.0]))

@@ -252,6 +252,12 @@ class TestAlternatives:
 
 
 class TestFalsify:
+    @pytest.mark.parametrize("field", ["tol", "scale"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_config_rejects_bad_tol_and_scale(self, field, value):
+        with pytest.raises(ValueError, match="falsifier configuration"):
+            FalsifierConfig(**{field: value})
+
     def test_orthant_self_clean(self):
         cfg = FalsifierConfig(trials=2000, seed=42)
         assert falsify(Orthant(3), Orthant(3), cfg) is None
