@@ -22,7 +22,7 @@ import numpy as np
 
 from . import isotonic
 from .cones import Simplicial, UnsupportedConeError, cone_to_dict, dual, load_cone, save_cone
-from .isotonic import FalsifierConfig, Obstruction, SamplingError
+from .isotonic import FalsifierConfig, Obstruction
 from .kernels import IndeterminateError
 from .projections import NonConvergenceError, project
 
@@ -58,7 +58,7 @@ def _run(command, paths, out, body):
     """Load the cones at `paths`, call `body(*cones)` and emit its report.
 
     `body` returns (verdict, exit code, report fields).  Input errors exit 3;
-    non-convergence, indeterminate feasibility and failed sampling exit 2.
+    non-convergence and indeterminate feasibility exit 2.
     """
     started = time.perf_counter()
     try:
@@ -72,7 +72,7 @@ def _run(command, paths, out, body):
                 fh.write(text + "\n")
     except (ValueError, OSError) as exc:
         _fail(str(exc), EXIT_INPUT)
-    except (NonConvergenceError, IndeterminateError, SamplingError) as exc:
+    except (NonConvergenceError, IndeterminateError) as exc:
         _fail(str(exc), EXIT_INCONCLUSIVE)
     click.echo(text)
     sys.exit(code)

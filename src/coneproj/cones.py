@@ -150,7 +150,7 @@ class _Cone:
 
     def _directions(self, scale):
         """Words per trial and a map (B, words) uniforms -> directions in the cone,
-        d = V (scale * -log u) on the generators V; None to sample by rejection."""
+        d = V (scale * -log u) on the generators V."""
         W = -scale * self._generators.T
         return W.shape[0], lambda u: _rows_times(np.log(u), W)
 
@@ -374,7 +374,8 @@ class PolyhedralH(_Cone):
         return res.status == "feasible"
 
     def _directions(self, scale):
-        return None  # no generators: directions are drawn by rejection
+        # d = P_L(scale * ndtri(u)): a projection lands in the cone, however thin.
+        return self.dim, lambda u: self._project_rows(scale * ndtri(u))
 
 
 @dataclass(frozen=True)

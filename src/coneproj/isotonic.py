@@ -37,10 +37,6 @@ from .projections import NonConvergenceError
 DEFAULT_TOL = 1e-9
 
 
-class SamplingError(RuntimeError):
-    """Rejection sampling of order directions failed to produce points."""
-
-
 @dataclass(frozen=True)
 class SubdualWitness:
     """Sign vector making the reflected cone subdual, with its index split."""
@@ -383,9 +379,8 @@ def alternatives_check(K, tol=DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 # Randomized falsifier
 
-# Trials run in blocks that double up to this many (halfspace orders, which
-# sample by rejection, run one trial at a time).  512 trials run as fast per
-# trial as 1024 with half the arrays alive.
+# Trials run in blocks that double up to this many, for every pair of cones.
+# 512 trials run as fast per trial as 1024 with half the arrays alive.
 MAX_BLOCK = 512
 
 # Size of the first block when K projects by a closed form (K._closed_form).
@@ -406,13 +401,13 @@ OPENING_BLOCK = 16
 _scratch = threading.local()
 
 
-def _stream(seed, lane, counter):
-    """The Philox stream keyed (seed, lane), set to read on from a counter.
+def _stream(seed):
+    """The Philox stream keyed (seed, 0), set to read from counter 0.
 
-    counter is the 4-word Philox counter; each step of it yields 4 64-bit
-    words, so reads of whole steps leave the stream at the start of the next
-    one, where a later read goes on.  The stream is this thread's scratch
-    generator: another _stream call in the thread moves it.
+    Each step of the 4-word Philox counter yields 4 64-bit words, so reads
+    of whole steps leave the stream at the start of the next one, where a
+    later read goes on.  The stream is this thread's scratch generator:
+    another _stream call in the thread moves it.
     """
     bits = getattr(_scratch, "philox", None)
     if bits is None:
@@ -420,8 +415,8 @@ def _stream(seed, lane, counter):
     bits.state = {
         "bit_generator": "Philox",
         "state": {
-            "counter": np.array(counter, dtype=np.uint64),
-            "key": np.array([seed & 0xFFFFFFFFFFFFFFFF, lane], dtype=np.uint64),
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64),
         },
         "buffer": np.zeros(4, dtype=np.uint64),
         "buffer_pos": 4,
@@ -443,39 +438,21 @@ def _uniforms(words):
     return u
 
 
-def _halfspace_direction(L, seed, scale, t):
-    """Direction in L for trial t by rejection from the cube, as a (1, m) array.
-
-    Candidate j is scale * (2u - 1) for the first m of the W words (m rounded
-    up to a multiple of 4) that follow counter ((t-1) * W/4, j, 0, 0) of the
-    stream keyed (seed, 1); the first candidate inside L is taken.  Raises
-    SamplingError after 1000 rejected candidates.
-    """
-    m = L.dim
-    width = -(-m // 4) * 4
-    for j in range(1000):
-        words = _stream(seed, 1, ((t - 1) * width // 4, j, 0, 0)).random_raw(width)
-        cand = scale * (2.0 * _uniforms(words[None, :m]) - 1.0)
-        if L._margin_rows(cand)[0] >= 0.0:
-            return cand
-    raise SamplingError("rejection sampling failed for the halfspace cone")
-
-
 def falsify(K, L, cfg=FalsifierConfig()):
     """Search for an ordered pair refuting L-isotonicity of the projection onto K.
 
     Trial t draws x and the direction d in L from the D words that follow
     counter ((t-1) * D/4, 0, 0, 0) of the Philox stream keyed (cfg.seed, 0),
-    where D is m plus the direction's word count, rounded up to a multiple of
-    4 (halfspace orders draw d from their own stream, see
-    _halfspace_direction).  So trial t depends on (cfg.seed, t) only, and
+    where D is m plus the direction's word count (L._directions), rounded up
+    to a multiple of 4.  So trial t depends on (cfg.seed, t) only, and
     results are reproducible and independent of how trials are grouped into
     blocks; the returned counterexample is the one with the lowest trial
     index.  Blocks open at OPENING_BLOCK trials when K projects by a closed
-    form and at one trial otherwise, and double up to MAX_BLOCK; halfspace
-    orders run one trial per block.  The stream is set once per call and
-    each block reads on where the last one ended (halfspace orders, whose
-    own stream moves the shared generator, set it again for every block).
+    form and at one trial otherwise, and double up to MAX_BLOCK.  The stream
+    is set once per call and each block reads on where the last one ended.
+    A violation counts only if its pair passes the order test of
+    verify_certificate: rounding fails it for a direction far below the
+    scale of x, as a halfspace order's projection of a draw in its polar.
     Returns None when no violation shows up within the budget; absence of a
     counterexample proves nothing.  Raises NonConvergenceError
     (IndeterminateError for the margin of L) at the first trial whose solve
@@ -484,19 +461,16 @@ def falsify(K, L, cfg=FalsifierConfig()):
     if K.dim != L.dim:
         raise DimensionMismatchError("K and L dimensions disagree")
     m = K.dim
-    # Orders with no sampler of their own draw d by rejection, one trial at a time.
-    n_dir, directions = L._directions(cfg.scale) or (0, None)
+    n_dir, directions = L._directions(cfg.scale)
     width = -(-(m + n_dir) // 4) * 4
     threshold = -10.0 * cfg.tol
     t = 1
-    size = OPENING_BLOCK if K._closed_form and directions is not None else 1
+    size = OPENING_BLOCK if K._closed_form else 1
+    stream = _stream(cfg.seed)
     while t <= cfg.trials:
         count = min(size, cfg.trials - t + 1)
-        if t == 1 or directions is None:
-            stream = _stream(cfg.seed, 0, ((t - 1) * width // 4, 0, 0, 0))
         u = _uniforms(stream.random_raw(count * width).reshape(count, width))
-        d = (directions(u[:, m:m + n_dir]) if directions is not None
-             else _halfspace_direction(L, cfg.seed, cfg.scale, t))
+        d = directions(u[:, m:m + n_dir])
         xy = np.empty((2 * count, m))  # the x rows, then the y rows
         x = ndtri(u[:, :m], out=xy[:count])
         x *= cfg.scale
@@ -513,12 +487,12 @@ def falsify(K, L, cfg=FalsifierConfig()):
             if math.isnan(mg[i]):
                 error = NonConvergenceError if np.isnan(v[i]).any() else IndeterminateError
                 raise error(f"trial {t + i}: nnls iteration cap exceeded")
-            if mg[i] < threshold * (1.0 + math.hypot(*v[i].tolist())):
+            if (mg[i] < threshold * (1.0 + math.hypot(*v[i].tolist()))
+                    and leq(L, xy[i], xy[count + i], cfg.tol)):
                 return Counterexample(x=xy[i], y=xy[count + i], px=p[i], py=p[count + i],
                                       violation=v[i], margin=float(mg[i]), trial=t + int(i))
         t += count
-        if directions is not None:
-            size = min(2 * size, MAX_BLOCK)
+        size = min(2 * size, MAX_BLOCK)
     return None
 
 

@@ -217,8 +217,8 @@ class TestFalsify:
         result = runner.invoke(main, ["falsify", orthant3, lorentz2])
         assert result.exit_code == 3
 
-    def test_needle_order_inconclusive(self, runner, tmp_path, orthant3):
-        # Rejection sampling cannot find directions in so thin a cone.
+    def test_needle_order_refuted(self, runner, tmp_path, orthant3):
+        # Directions are projections onto the order, however thin it is.
         eps = 1e-4
         needle = write_cone(tmp_path, "needle.json", {
             "type": "halfspaces", "dim": 3,
@@ -226,7 +226,8 @@ class TestFalsify:
                         [0.0, 1.0, -eps], [0.0, -1.0, -eps]],
         })
         result = runner.invoke(main, ["falsify", orthant3, needle, "--trials", "10"])
-        assert result.exit_code == 2
+        assert result.exit_code == 1
+        assert report_of(result)["certificate"]["kind"] == "counterexample"
 
 
 class TestRecognize:

@@ -16,7 +16,6 @@ from coneproj import (
     Orthant,
     PolyhedralH,
     PolyhedralV,
-    SamplingError,
     SignedOrthant,
     Simplicial,
     SubdualWitness,
@@ -296,14 +295,21 @@ class TestFalsify:
         assert verify_certificate(cex, K, L)
 
     def test_halfspace_order_clean(self):
-        # The orthant in halfspace form: directions come from rejection sampling.
+        # The orthant in halfspace form: directions are projections onto it.
         assert falsify(Orthant(3), PolyhedralH(3, -np.eye(3))) is None
+
+    @pytest.mark.parametrize("m", [7, 10])
+    def test_thin_halfspace_order_clean(self, m):
+        # 2^-m of the cube lies in this order: a projection reaches it all the same.
+        assert falsify(Orthant(m), PolyhedralH(m, -np.eye(m))) is None
 
     @pytest.mark.parametrize("K", [Orthant(3), triangle_cone(), MonotoneNonneg(3)],
                              ids=["closed-form", "nnls", "pava"])
-    def test_needle_halfspace_order_raises(self, K):
-        with pytest.raises(SamplingError):
-            falsify(K, needle_cone(), FalsifierConfig(trials=10, seed=42))
+    def test_needle_halfspace_order_refuted(self, K):
+        L = needle_cone()
+        cex = falsify(K, L, FalsifierConfig(trials=10, seed=42))
+        assert cex is not None
+        assert verify_certificate(cex, K, L)
 
 
 def assert_same_counterexample(a, b):
@@ -371,6 +377,40 @@ def test_cap_failure_late_in_block_keeps_earlier_violation(monkeypatch):
         falsify(K, L, cfg)
 
 
+def isac_nemeth_cone(rng, m, acute):
+    """K = {x : <u_i, x> >= 0} in halfspace form, the u_i the rows of chol(M).
+
+    M = [<u_i, u_j>] has unit diagonal, off-diagonals <= 0 and least
+    eigenvalue >= 0.05; with `acute`, one off-diagonal pair is set in
+    [0.2, 0.6] instead.  Draws that lose the eigenvalue bound are redrawn.
+    """
+    while True:
+        A = np.triu(rng.uniform(0.0, 1.0, (m, m)) * (rng.uniform(size=(m, m)) < 0.6), 1)
+        A += A.T
+        top = np.linalg.eigvalsh(A)[-1]
+        M = np.eye(m) - (rng.uniform(0.0, 0.95) / top if top > 0 else 0.0) * A
+        if acute:
+            i, j = rng.choice(m, 2, replace=False)
+            M[i, j] = M[j, i] = rng.uniform(0.2, 0.6)
+        if np.linalg.eigvalsh(M)[0] >= 0.05:
+            return PolyhedralH(m, -np.linalg.cholesky(M))
+
+
+@pytest.mark.parametrize("acute", [False, True], ids=["obtuse-held", "acute-refuted"])
+def test_isac_nemeth_halfspace_cones(acute):
+    # Isac & Nemeth (1986): with u_1..u_m independent, the projection onto
+    # K = {x : <u_i, x> >= 0} is K-isotone iff <u_i, u_j> <= 0 for i != j.
+    rng = np.random.default_rng(1986)
+    for m in range(2, 9):
+        for _ in range(2):
+            K = isac_nemeth_cone(rng, m, acute)
+            cex = falsify(K, K, FalsifierConfig(trials=3000, seed=m))
+            if acute:
+                assert cex is not None and verify_certificate(cex, K, K)
+            else:
+                assert cex is None
+
+
 def rotated_orthant(seed, m):
     return Simplicial(np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))[0])
 
@@ -399,7 +439,7 @@ SCHEDULE_PAIRS = [
     pytest.param(MonotoneNonneg(3), Lorentz(3), 300, 4, 3, id="pava-refuted"),
     pytest.param(Orthant(3), PolyhedralH(3, -np.eye(3)), 100, 8, None, id="halfspace-order-held"),
     pytest.param(Orthant(3), PolyhedralH(3, np.array([[1.0, 1.0, -1.0], [0.0, 0.0, -1.0]])), 100,
-                 0, 14, id="halfspace-order-refuted"),
+                 0, 4, id="halfspace-order-refuted"),
 ]
 
 
@@ -452,6 +492,16 @@ class TestVerifyCertificate:
         assert not verify_certificate(bogus, Orthant(2), Lorentz(2)) or leq(
             Lorentz(2), bogus.x, bogus.y
         )
+
+    @pytest.mark.parametrize("scale", [1e10, 1e160, 1e300])
+    def test_halfspace_order_counterexamples_at_huge_scale(self, scale):
+        # Draws in the polar of the order project to rounding noise, not to
+        # 0: the pairs they give are not ordered, and must not be returned.
+        L = ring_cone(8)
+        for K in (Orthant(3), Lorentz(3)):
+            for seed in range(3):
+                cex = falsify(K, L, FalsifierConfig(trials=1000, seed=seed, scale=scale))
+                assert verify_certificate(cex, K, L)
 
     def test_counterexample_at_huge_scale(self):
         # Norms of vectors near 1e160 must not overflow in the re-check.

@@ -28,7 +28,7 @@ from coneproj import (
     project_hyperplane,
     project_oracle,
 )
-from coneproj import cones, kernels
+from coneproj import cones, isotonic, kernels
 from conftest import random_simplicial, ring_cone
 
 
@@ -283,6 +283,17 @@ def test_row_kernels_independent_of_block(cone, size):
                                       cone._project_rows(x[None, :])[0])
         np.testing.assert_array_equal(cone._margin_rows(X)[i],
                                       cone._margin_rows(x[None, :])[0])
+    # The falsifier's directions, from its uniforms with one row at their
+    # extremes: each row as in its own call, and each in the cone up to
+    # rounding at the scale of its draw (a projection is exact only so far).
+    for scale in (1e-300, 10.0, 1e300):
+        n, directions = cone._directions(scale)
+        U = isotonic._uniforms(rng.integers(0, 2**64, (size, n), dtype=np.uint64))
+        U[int(rng.integers(size))] = np.resize([2.0**-53, 1.0 - 2.0**-53], n)
+        D = directions(U)
+        for u, d in zip(U, D):
+            np.testing.assert_array_equal(d, directions(u[None, :])[0])
+            assert membership(cone, d / scale)
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-300])
