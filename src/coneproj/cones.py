@@ -7,8 +7,9 @@ of the rest), and the monotone nonnegative cone x1 >= ... >= xm >= 0.
 
 Each family is a frozen dataclass carrying its behaviour as private _Cone
 methods, which the module-level functions call after checking their input.
-Generators and facet normals are stored unit length; duplicate directions
-are merged.  All values are immutable after construction.
+Every given vector passes _unit, which rejects non-finite entries and zero
+vectors.  Generators and facet normals are stored unit length; duplicate
+directions are merged.  All values are immutable after construction.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .kernels import (
     EPS,
     IndeterminateError,
     RANK_RTOL,
-    _feasible,
+    _has_interior,
     _isotonic_rows,
     _lawson_hanson_rows,
     _norms,
@@ -50,23 +51,33 @@ class DimensionMismatchError(ValueError):
     """Vector dimension does not match the cone dimension."""
 
 
-def _as_unit_columns(M):
-    M = np.asarray(M, dtype=float)
-    norms = _norms(M, axis=0)
-    if np.any(norms == 0.0):
-        raise ConeFormatError("zero generator column")
-    # Idempotent: columns already unit length are left untouched bit-for-bit.
-    norms = np.where(np.abs(norms - 1.0) < 1e-12, 1.0, norms)
-    return M / norms
+def _finite(M, what):
+    """A float copy of M; ConeFormatError if an entry is NaN or infinite."""
+    M = np.array(M, dtype=float)
+    if not np.isfinite(M).all():
+        raise ConeFormatError(f"{what} entries must be finite")
+    return M
+
+
+def _unit(M, axis, what):
+    """The vectors of M along `axis` (None: M is one) scaled to unit length by
+    _norms, read-only; ConeFormatError on non-finite entries or a zero vector.
+    A vector within 1e-12 of unit length keeps its bits."""
+    M = _finite(M, what)
+    n = _norms(M, axis=axis)
+    if not n.all():
+        raise ConeFormatError(f"zero {what}")
+    n = np.where(np.abs(n - 1.0) < 1e-12, 1.0, n)
+    return _read_only(M / (n[:, None] if axis == 1 else n))
 
 
 def _dedupe_unit_rows(rows):
-    """Merge unit rows closer than MERGE_TOL in cosine distance."""
+    """Merge unit rows closer than MERGE_TOL in cosine distance; read-only."""
     kept = []
     for r in rows:
         if not any(1.0 - float(k @ r) < MERGE_TOL for k in kept):
             kept.append(r)
-    return np.array(kept)
+    return _read_only(np.array(kept))
 
 
 def _read_only(M):
@@ -83,15 +94,9 @@ class Hyperplane:
     anchor: np.ndarray
 
     def __post_init__(self):
-        u = np.array(self.normal, dtype=float)  # copies: the caller's arrays stay writeable
-        n = float(_norms(u))
-        if n == 0.0:
-            raise ConeFormatError("hyperplane normal must be nonzero")
-        # Idempotent: a normal already unit length is left untouched bit-for-bit.
-        if abs(n - 1.0) >= 1e-12:
-            u /= n
-        object.__setattr__(self, "normal", _read_only(u))
-        object.__setattr__(self, "anchor", _read_only(np.array(self.anchor, dtype=float)))
+        # Both copies: the caller's arrays stay writeable.
+        object.__setattr__(self, "normal", _unit(self.normal, None, "hyperplane normal"))
+        object.__setattr__(self, "anchor", _read_only(_finite(self.anchor, "hyperplane anchor")))
 
 
 class _Cone:
@@ -122,21 +127,12 @@ class _Cone:
     def _facet_normals(self):
         raise UnsupportedConeError(f"facet enumeration unavailable for {type(self).__name__}")
 
-    def _project_rows(self, X):
-        return self._solve_rows(X)[0]
-
     def _active(self, x, p, c):
         """Facets active at the projection p of x, as indices into the rows of
         _facet_normals, from the coefficients c that _solve_rows gave with p:
         those whose c_i is not positive.  (Without coefficients project()
         reports None.)"""
         return frozenset((c <= 0.0).nonzero()[0].tolist())
-
-    def _margin(self, x):
-        margin = float(self._margin_rows(x[None, :])[0])
-        if math.isnan(margin):
-            raise IndeterminateError("nnls iteration cap exceeded")
-        return margin
 
     def _sign_flip(self, eps):
         raise UnsupportedConeError("sign flips apply to orthant and simplicial cones")
@@ -260,13 +256,11 @@ class Simplicial(_Cone):
         E = np.asarray(self.columns, dtype=float)
         if E.ndim != 2 or E.shape[0] != E.shape[1]:
             raise ConeFormatError("simplicial generator matrix must be square")
-        if not np.all(np.isfinite(E)):
-            raise ConeFormatError("generator entries must be finite")
-        E = _as_unit_columns(E)
+        E = _unit(E, 0, "generator")
         sv = np.linalg.svd(E, compute_uv=False)
         if sv[-1] < RANK_RTOL * sv[0]:
             raise ConeFormatError("generator columns are numerically dependent")
-        object.__setattr__(self, "columns", _read_only(E))
+        object.__setattr__(self, "columns", E)
 
     @property
     def dim(self):
@@ -333,12 +327,7 @@ class PolyhedralH(_Cone):
         U = np.asarray(self.normals, dtype=float)
         if U.ndim != 2 or U.shape[1] != self.dim or U.shape[0] < 1:
             raise ConeFormatError("normals must be a nonempty (k, dim) array")
-        norms = _norms(U, axis=1)
-        if np.any(norms == 0.0):
-            raise ConeFormatError("zero facet normal")
-        norms = np.where(np.abs(norms - 1.0) < 1e-12, 1.0, norms)
-        U = _dedupe_unit_rows(U / norms[:, None])
-        object.__setattr__(self, "normals", _read_only(U))
+        object.__setattr__(self, "normals", _dedupe_unit_rows(_unit(U, 1, "facet normal")))
 
     @property
     def _facet_normals(self):
@@ -368,14 +357,11 @@ class PolyhedralH(_Cone):
         U = self.normals
         if np.linalg.matrix_rank(U, tol=RANK_RTOL) < self.dim:
             return False  # dual not generating, so the cone is not pointed
-        res = _feasible(-U, np.zeros(len(U)))  # <u, x> <= 0
-        if res.status == "indeterminate":
-            raise IndeterminateError("interior LP indeterminate")
-        return res.status == "feasible"
+        return _has_interior(-U)  # <u, x> < 0
 
     def _directions(self, scale):
         # d = P_L(scale * ndtri(u)): a projection lands in the cone, however thin.
-        return self.dim, lambda u: self._project_rows(scale * ndtri(u))
+        return self.dim, lambda u: self._solve_rows(scale * ndtri(u))[0]
 
 
 @dataclass(frozen=True)
@@ -391,9 +377,7 @@ class PolyhedralV(_Cone):
         V = np.asarray(self.generators, dtype=float)
         if V.ndim != 2 or V.shape[0] != self.dim or V.shape[1] < 1:
             raise ConeFormatError("generators must be a nonempty (dim, k) array")
-        V = _as_unit_columns(V)
-        V = _dedupe_unit_rows(V.T).T
-        object.__setattr__(self, "generators", _read_only(V))
+        object.__setattr__(self, "generators", _dedupe_unit_rows(_unit(V, 0, "generator").T).T)
 
     @property
     def _generators(self):
@@ -405,7 +389,7 @@ class PolyhedralV(_Cone):
         return _rows_times(lam, self.generators.T), lam, iterations
 
     def _margin_rows(self, X):
-        return -_row_norms(X - self._project_rows(X))
+        return -_row_norms(X - self._solve_rows(X)[0])
 
     def _active(self, x, p, c):
         return None  # lam lives on the generators, and no facets are enumerated
@@ -418,10 +402,7 @@ class PolyhedralV(_Cone):
         V = self.generators
         if np.linalg.matrix_rank(V, tol=RANK_RTOL) < self.dim:
             return False  # not generating
-        res = _feasible(V.T, np.zeros(V.shape[1]))  # <v, x> >= 0
-        if res.status == "indeterminate":
-            raise IndeterminateError("pointedness LP indeterminate")
-        return res.status == "feasible"
+        return _has_interior(V.T)  # <v, x> > 0
 
 
 @dataclass(frozen=True)
@@ -443,7 +424,7 @@ class Lorentz(_Cone):
         if self.dim != 2:
             return super()._generators
         # The 2-dimensional Lorentz cone is the simplicial cone on (1,1), (-1,1).
-        return _read_only(_as_unit_columns(np.array([[1.0, -1.0], [1.0, 1.0]])))
+        return _unit(np.array([[1.0, -1.0], [1.0, 1.0]]), 0, "generator")
 
     @cached_property
     def _facet_normals(self):
@@ -489,7 +470,7 @@ class MonotoneNonneg(_Cone):
 
     @cached_property
     def _generators(self):
-        return _read_only(monotone_generators(self.dim))
+        return monotone_generators(self.dim)
 
     @cached_property
     def _facet_normals(self):
@@ -532,8 +513,7 @@ def _check_dim(cone, x):
 
 def monotone_generators(m):
     """Generators of the monotone nonnegative cone: columns (1,0,..), (1,1,0,..), ..."""
-    E = np.triu(np.ones((m, m)))
-    return _as_unit_columns(E)
+    return _unit(np.triu(np.ones((m, m))), 0, "generator")
 
 
 def generator_matrix(cone):
@@ -549,7 +529,10 @@ def cone_margin(cone, x):
     generator families report coefficient or NNLS-residual margins.  The sign
     is what matters; magnitudes are family-specific.
     """
-    return cone._margin(_check_dim(cone, x))
+    margin = float(cone._margin_rows(_check_dim(cone, x)[None, :])[0])
+    if math.isnan(margin):  # a NaN row: its solve hit the iteration cap
+        raise IndeterminateError("nnls iteration cap exceeded")
+    return margin
 
 
 def membership(cone, x, tol=MEMBERSHIP_TOL):
@@ -589,12 +572,12 @@ def is_proper(cone, tol=MEMBERSHIP_TOL):
 
     Properness is decided scale free: a halfspace cone is solid when its
     homogeneous system <u_i, x> < 0 has a point, and a generator cone is
-    pointed when <v_j, x> > 0 has one, each asked of lp_feasible with
-    offset 0.  Only the depth of the cone counts, against the threshold
-    margin / box = 1e-10 of lp_feasible, so a cone as thin as |x1| <=
-    1e-8 x2 is proper.
+    pointed when <v_j, x> > 0 has one, each asked of kernels._has_interior.
+    Only the depth of the cone counts, against the threshold margin / box =
+    1e-10 of lp_feasible, so a cone as thin as |x1| <= 1e-8 x2 is proper.
+    The other families are proper by construction.
 
-    Raises IndeterminateError when an LP subproblem cannot decide.
+    Raises IndeterminateError when the LP cannot decide.
     """
     return cone._is_proper()
 

@@ -31,7 +31,7 @@ from .cones import (
     is_proper,
     membership,
 )
-from .kernels import IndeterminateError, _feasible
+from .kernels import IndeterminateError, _has_interior
 from .projections import NonConvergenceError
 
 DEFAULT_TOL = 1e-9
@@ -108,10 +108,6 @@ class ContainmentReport:
         """Necessary conditions violated while an interior condition holds."""
         applicable = self.interior_kdual_l or self.interior_kdual_ldual
         return applicable and not (self.k_in_l and self.l_in_k_dual and self.k_subdual)
-
-    @property
-    def inconclusive(self):
-        return not self.refuted
 
     def _verify(self, K, L, tol):
         if L is None:
@@ -315,19 +311,13 @@ def certify_necessary(K, L, tol=DEFAULT_TOL):
     l_in_k_dual = bool(np.min(GK.T @ GL) >= -tol)
     k_subdual = bool(np.min(GK.T @ GK) >= -tol)
 
-    def interior_vs(normals):
-        # <g, x> > 0 for the generators g of K (strict interior of K*), <u, x> <= 0.
-        res = _feasible(np.vstack([GK.T, -normals]), np.zeros(GK.shape[1] + len(normals)))
-        if res.status == "indeterminate":
-            raise IndeterminateError("interior intersection LP indeterminate")
-        return res.status == "feasible"
-
+    # <g, x> > 0 for the generators g of K (strict interior of K*), <u, x> <= 0.
     return ContainmentReport(
         k_in_l=k_in_l,
         l_in_k_dual=l_in_k_dual,
         k_subdual=k_subdual,
-        interior_kdual_l=interior_vs(UL),
-        interior_kdual_ldual=interior_vs(ULdual),
+        interior_kdual_l=_has_interior(np.vstack([GK.T, -UL])),
+        interior_kdual_ldual=_has_interior(np.vstack([GK.T, -ULdual])),
     )
 
 
@@ -368,11 +358,7 @@ def alternatives_check(K, tol=DEFAULT_TOL):
         raise ValueError("alternatives_check requires a coordinatewise-isotone cone")
     GK = generator_matrix(K)
     in_orthant = bool(np.min(GK) >= -tol)
-    m = K.dim
-    res = _feasible(np.vstack([GK.T, np.eye(m)]), np.zeros(GK.shape[1] + m))
-    if res.status == "indeterminate":
-        raise IndeterminateError("alternatives LP indeterminate")
-    interior_disjoint = res.status == "infeasible"
+    interior_disjoint = not _has_interior(np.vstack([GK.T, np.eye(K.dim)]))
     return in_orthant, interior_disjoint
 
 
@@ -475,7 +461,7 @@ def falsify(K, L, cfg=FalsifierConfig()):
         x = ndtri(u[:, :m], out=xy[:count])
         x *= cfg.scale
         np.add(x, d, out=xy[count:])
-        p = K._project_rows(xy)
+        p = K._solve_rows(xy)[0]
         v = p[count:] - p[:count]
         mg = L._margin_rows(v)
         # 1 + ||v|| >= 1, so only rows below the bare threshold can qualify.

@@ -146,9 +146,9 @@ def pava(y):
 
 
 # Least-squares operators an NNLS solver keeps for one matrix, one for each
-# passive set it visits.  A full cache is emptied before the next one goes
-# in: one atomic step, so threads may share a cone.
-OPERATOR_CACHE_SIZE = 128
+# passive set it visits: 256 hold all 255 sets of 8 columns.  A full cache is
+# emptied before the next one goes in: one atomic step, so threads may share a cone.
+OPERATOR_CACHE_SIZE = 256
 
 
 def _operator(A, passive):
@@ -449,3 +449,14 @@ def _feasible(G, h, box=DEFAULT_BOX, margin=DEFAULT_MARGIN):
             if slack >= 2.0 * math.sqrt(G.shape[1]) * margin:
                 return LpResult(status="feasible", witness=x, margin=slack)
     return _least_distance_feasible(G, h, box, margin)
+
+
+def _has_interior(G):
+    """True iff G x > 0 has a point, for a (k, m) array G: the library's one
+    feasibility question, lp_feasible's verdict on G x >= 0.  Scale free: only
+    the depth of {G x >= 0} counts, against the threshold margin / box.
+    Raises IndeterminateError when the solver hits its iteration cap."""
+    res = _feasible(G, np.zeros(len(G)))
+    if res.status == "indeterminate":
+        raise IndeterminateError("interior LP indeterminate")
+    return res.status == "feasible"

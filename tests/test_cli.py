@@ -393,6 +393,11 @@ ERROR_EXITS = [
                  id="point-of-objects"),
     pytest.param(["project", "orthant3", "--point", "1,2,3", "--out", "unwritable"], None, 3,
                  id="unwritable-out"),
+    # Cone files whose vectors are not finite (json reads NaN and Infinity).
+    *[pytest.param(command.format(cone).split(), None, 3, id=f"{command.split()[0]}-{cone}")
+      for cone in ("nan_halfspaces", "inf_generators")
+      for command in ("recognize-orthant-isotone {}", "dual {}", "project {} --point 1,2",
+                      "falsify {} orthant2 --trials 10")],
 ]
 
 
@@ -407,6 +412,10 @@ def test_error_exit_codes(runner, monkeypatch, tmp_path, orthant2, orthant3, lor
             "type": "simplicial", "columns": [[1.0, 0.0], [0.0, 1.0]]}),
         "simplicial3": write_cone(tmp_path, "simp.json", {
             "type": "simplicial", "columns": [[2.0, 1.0, 0.0], [0.0, 1.0, 0.3], [0.1, 0.0, 1.0]]}),
+        "nan_halfspaces": write_cone(tmp_path, "nan.json", {
+            "type": "halfspaces", "dim": 2, "normals": [[math.nan, 1.0], [1.0, -1.0]]}),
+        "inf_generators": write_cone(tmp_path, "inf.json", {
+            "type": "generators", "dim": 2, "generators": [[1.0, 0.0], [math.inf, 1.0]]}),
         "missing": str(tmp_path / "missing.json"),
         "unwritable": str(tmp_path / "no-such-dir" / "report.json"),
     }

@@ -386,6 +386,17 @@ class TestValidation:
         assert is_proper(PolyhedralH(2, -scale * eye))
         assert is_proper(PolyhedralV(2, scale * eye))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("build", [
+        lambda v: PolyhedralH(2, np.array([[v, 1.0], [1.0, -1.0]])),
+        lambda v: PolyhedralV(2, np.array([[1.0, v], [0.0, 1.0]])),
+        lambda v: Hyperplane(np.array([v, 1.0]), np.zeros(2)),
+        lambda v: Hyperplane(np.array([0.0, 1.0]), np.array([v, 0.0])),
+    ], ids=["halfspace-normal", "generator", "hyperplane-normal", "hyperplane-anchor"])
+    def test_non_finite_vectors_rejected(self, build, bad):
+        with pytest.raises(ConeFormatError, match="finite"):
+            build(bad)
+
 
 # One cone per family, with both Lorentz dimensions and both kinds of
 # simplicial cone (orthonormal, skew).

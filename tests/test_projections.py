@@ -240,7 +240,7 @@ def kernel_test_rows(cone, rng):
 @pytest.mark.parametrize("cone", ROW_KERNEL_CONES, ids=lambda K: type(K).__name__)
 def test_row_kernel_matches_project(cone, rng):
     X = kernel_test_rows(cone, rng)
-    P = cone._project_rows(X)
+    P = cone._solve_rows(X)[0]
     for x, p in zip(X, P):
         np.testing.assert_array_equal(p, project(cone, x).point)
 
@@ -279,8 +279,8 @@ def test_row_kernels_independent_of_block(cone, size):
         X = rng.standard_normal((size, m)) * 10.0 ** rng.uniform(-3.0, 3.0, (size, 1))
         X[int(rng.integers(size))] = x
         i = int(np.flatnonzero((X == x).all(axis=1))[0])
-        np.testing.assert_array_equal(cone._project_rows(X)[i],
-                                      cone._project_rows(x[None, :])[0])
+        np.testing.assert_array_equal(cone._solve_rows(X)[0][i],
+                                      cone._solve_rows(x[None, :])[0][0])
         np.testing.assert_array_equal(cone._margin_rows(X)[i],
                                       cone._margin_rows(x[None, :])[0])
     # The falsifier's directions, from its uniforms with one row at their
@@ -308,10 +308,10 @@ def test_operator_cache_is_bounded(monkeypatch, rng):
     monkeypatch.setattr(kernels, "OPERATOR_CACHE_SIZE", 2)
     X = rng.standard_normal((200, 3))
     K = ring_cone(8)
-    P = K._project_rows(X)
+    P = K._solve_rows(X)[0]
     assert 1 <= len(K._operators) <= 2
     for x, p in zip(X, P):
-        np.testing.assert_array_equal(ring_cone(8)._project_rows(x[None, :])[0], p)
+        np.testing.assert_array_equal(ring_cone(8)._solve_rows(x[None, :])[0][0], p)
 
 
 @pytest.mark.parametrize("cone, x", [
@@ -409,7 +409,7 @@ class TestPava:
         m = 100_000
         np.testing.assert_array_equal(pava(np.zeros(m)), np.zeros(m))
         np.testing.assert_allclose(pava(np.arange(m, dtype=float)), np.full(m, (m - 1) / 2))
-        assert MonotoneNonneg(m)._project_rows(np.ones((2, m))).shape == (2, m)
+        assert MonotoneNonneg(m)._solve_rows(np.ones((2, m)))[0].shape == (2, m)
 
     def test_already_monotone(self):
         np.testing.assert_allclose(pava([3.0, 2.0, 1.0]), [3.0, 2.0, 1.0])
