@@ -28,11 +28,11 @@ from .kernels import (
     RANK_RTOL,
     _has_interior,
     _isotonic_rows,
-    _lawson_hanson_rows,
     _norms,
     _row_min,
     _row_norms,
     _rows_times,
+    nnls,
 )
 
 MEMBERSHIP_TOL = 1e-9
@@ -116,7 +116,7 @@ class _Cone:
     @cached_property
     def _operators(self):
         """Least-squares operators of this cone's NNLS solves, all on one
-        matrix, kept so later solves reuse them (kernels._lawson_hanson_rows)."""
+        matrix, kept so later solves reuse them (kernels.nnls)."""
         return {}
 
     @property
@@ -295,7 +295,7 @@ class Simplicial(_Cone):
         if self.orthonormal:
             lam, iterations = np.maximum(_rows_times(X, E), 0.0), None
         else:
-            lam, iterations = _lawson_hanson_rows(E, X, self._operators)
+            lam, iterations = nnls(E, X, self._operators)
         return _rows_times(lam, E.T), lam, iterations
 
     def _active(self, x, p, c):
@@ -340,7 +340,7 @@ class PolyhedralH(_Cone):
         """(x - U^T mu, mu, iterations) per row: Moreau with the polar cone,
         generated by the normals U, with mu >= 0 the NNLS coefficients on U^T."""
         U = self.normals
-        mu, iterations = _lawson_hanson_rows(U.T, X, self._operators)
+        mu, iterations = nnls(U.T, X, self._operators)
         return X - _rows_times(mu, U), mu, iterations
 
     def _active(self, x, p, c):
@@ -385,7 +385,7 @@ class PolyhedralV(_Cone):
 
     def _solve_rows(self, X):
         """(V lam, lam, iterations) per row, lam >= 0 the NNLS coefficients on V."""
-        lam, iterations = _lawson_hanson_rows(self.generators, X, self._operators)
+        lam, iterations = nnls(self.generators, X, self._operators)
         return _rows_times(lam, self.generators.T), lam, iterations
 
     def _margin_rows(self, X):

@@ -217,6 +217,10 @@ def sign_flip_search_gram(G, tol=DEFAULT_TOL):
     split (SubdualWitness) or an odd cycle of constraints (Obstruction).
     """
     G = np.asarray(G, dtype=float)
+    if G.ndim != 2 or G.shape[0] != G.shape[1]:
+        raise ValueError("Gram matrix must be square")
+    if not np.isfinite(G).all():
+        raise ValueError("Gram matrix entries must be finite")
     m = G.shape[0]
     # parity 0: same side, parity 1: opposite sides
     adj = [[] for _ in range(m)]
@@ -309,13 +313,12 @@ def certify_necessary(K, L, tol=DEFAULT_TOL):
 
     k_in_l = all(membership(L, GK[:, j], tol) for j in range(GK.shape[1]))
     l_in_k_dual = bool(np.min(GK.T @ GL) >= -tol)
-    k_subdual = bool(np.min(GK.T @ GK) >= -tol)
 
     # <g, x> > 0 for the generators g of K (strict interior of K*), <u, x> <= 0.
     return ContainmentReport(
         k_in_l=k_in_l,
         l_in_k_dual=l_in_k_dual,
-        k_subdual=k_subdual,
+        k_subdual=check_subdual(K, tol),
         interior_kdual_l=_has_interior(np.vstack([GK.T, -UL])),
         interior_kdual_ldual=_has_interior(np.vstack([GK.T, -ULdual])),
     )

@@ -3,13 +3,13 @@
 All kernels are deterministic and operate on small dense problems (tens of
 dimensions).  They back the cone projection and certification layers.
 
-One Lawson-Hanson NNLS solver (_lawson_hanson_rows) serves every projection
-without a closed form and also decides feasibility: lp_feasible finds the
-least-norm point of a system G x >= h by least-distance programming (Lawson
-& Hanson, Solving Least Squares Problems, 1974, ch. 23), an NNLS problem on
-the matrix [G^T; h^T].  A homogeneous system first tries the sum of its
-unit rows as witness, and skips the solver when that point is deeper than
-2 sqrt(m) margin, where the solver's verdict is "feasible" too.  Either
+One Lawson-Hanson NNLS solver (nnls) serves every projection without a
+closed form and also decides feasibility: lp_feasible finds the least-norm
+point of a system G x >= h, given as arrays, by least-distance programming
+(Lawson & Hanson, Solving Least Squares Problems, 1974, ch. 23), an NNLS
+problem on the matrix [G^T; h^T].  A homogeneous system first tries the sum
+of its unit rows as witness, and skips the solver when that point is deeper
+than 2 sqrt(m) margin, where the solver's verdict is "feasible" too.  Either
 way it returns "feasible" only with a witness that one product re-checks,
 so a feasibility verdict never rests on the solver alone.
 LpResult.margin is that witness's common slack: a lower bound on the optimum
@@ -42,21 +42,8 @@ DEFAULT_MARGIN = 1e-7
 LDP_PASSES = 4
 
 
-class SingularMatrixError(ValueError):
-    """Matrix is singular or rank deficient beyond the configured threshold."""
-
-
 class IndeterminateError(RuntimeError):
     """An iterative kernel failed to reach a conclusive answer."""
-
-
-@dataclass(frozen=True)
-class NnlsResult:
-    """Solution of min ||A @ coefficients - b|| subject to coefficients >= 0."""
-
-    coefficients: np.ndarray
-    residual: float
-    active: frozenset  # indices clamped at zero
 
 
 @dataclass(frozen=True)
@@ -227,9 +214,9 @@ def _lawson_hanson(A, b, operators, tol, max_iter):
             passive = [xi > 0.0 for xi in x]
 
 
-def _lawson_hanson_rows(A, B, operators, max_iter=None):
+def nnls(A, B, operators=None, max_iter=None):
     """Lawson-Hanson active-set solutions of min ||A @ c - b|| over c >= 0,
-    one for each row b of the (R, m) array B.
+    one for each row b of the (R, m) array B, for a finite (m, n) array A.
 
     Shared by every NNLS route.  A may have any shape, including more
     columns than rows and dependent columns: a column enters the passive set
@@ -246,18 +233,28 @@ def _lawson_hanson_rows(A, B, operators, max_iter=None):
     share its least-squares operator (_operator): `operators` maps passive
     masks, as bytes, to their operators, and the caller keeps it with A for
     later calls (combinatorial NNLS); it holds at most OPERATOR_CACHE_SIZE.
+    None starts an empty one.
 
     Returns (coefficients (R, n), iterations (R,)).  A row that exhausts the
     iteration cap (10 * columns by default), or has a non-finite entry, gets
-    NaN coefficients; the other rows are unaffected.
+    NaN coefficients; the other rows are unaffected.  Shapes other than
+    these, or a non-finite entry of A, raise ValueError.
     """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    if A.ndim != 2 or B.ndim != 2 or B.shape[1] != A.shape[0]:
+        raise ValueError("A must be (m, n) and B (R, m)")
     n = A.shape[1]
     if max_iter is None:
         max_iter = 10 * n
+    tol = NNLS_RTOL * float(np.abs(A).max(initial=0.0))
+    if not math.isfinite(tol):
+        raise ValueError("A must be finite")
+    if operators is None:
+        operators = {}
     top = np.abs(B).max(axis=1, initial=0.0)
     e = np.frexp(top)[1][:, None]
     B = np.ldexp(B, -e)
-    tol = NNLS_RTOL * float(np.abs(A).max(initial=0.0))
     X = []
     iterations = []
     for b, t in zip(B, top.tolist()):
@@ -265,38 +262,6 @@ def _lawson_hanson_rows(A, B, operators, max_iter=None):
         X.append([math.nan] * n if x is None else x)
         iterations.append(count)
     return np.ldexp(np.array(X).reshape(-1, n), e), np.array(iterations, dtype=np.int64)
-
-
-def nnls(A, b, max_iter=None):
-    """Lawson-Hanson nonnegative least squares with a full-rank check.
-
-    Minimizes ||A @ x - b|| subject to x >= 0 for finite A with full column
-    rank (columns <= rows) and finite b; the solve itself is the shared
-    relative-tolerance solver, exact at any scale of b and deterministic.
-
-    Raises ValueError on a bad shape or non-finite entries,
-    SingularMatrixError on rank-deficient A and IndeterminateError when the
-    iteration cap (10 * columns by default) is exhausted.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if A.ndim != 2 or b.shape != (A.shape[0],):
-        raise ValueError("A must be a matrix and b a vector with one entry per row")
-    m, n = A.shape
-    if m < n:
-        raise ValueError("A must have at least as many rows as columns")
-    if not (np.isfinite(A).all() and np.isfinite(b).all()):
-        raise ValueError("A and b must be finite")
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] < RANK_RTOL * sv[0]:
-        raise SingularMatrixError("A is rank deficient")
-    C, _ = _lawson_hanson_rows(A, b[None, :], {}, max_iter)
-    x = C[0]
-    if np.isnan(x).any():
-        raise IndeterminateError("nnls iteration cap exceeded")
-    residual = float(np.linalg.norm(b - A @ x))
-    active = frozenset(np.flatnonzero(x == 0.0).tolist())
-    return NnlsResult(coefficients=x, residual=residual, active=active)
 
 
 def _least_distance(G, h):
@@ -312,7 +277,7 @@ def _least_distance(G, h):
     n = G.shape[1]
     target = np.zeros((1, n + 1))
     target[0, -1] = 1.0
-    u = _lawson_hanson_rows(np.vstack([G.T, h]), target, {})[0][0]
+    u = nnls(np.vstack([G.T, h]), target)[0][0]
     if np.isnan(u[0]):
         return None
     tight = u > 0.0
@@ -321,41 +286,6 @@ def _least_distance(G, h):
     # The tight rows of G are columns of G^T: their least-squares operator
     # maps h to the least-norm solution of those rows as equations.
     return _operator(G.T, tight)[:, :h.size].dot(h)
-
-
-def _constraint_rows(constraints):
-    """(normal, offset, sense) triples as the rows G x >= h, unnormalized."""
-    rows = []
-    rhs = []
-    for normal, offset, sense in constraints:
-        u = np.asarray(normal, dtype=float)
-        if rows and u.size != rows[0].size:
-            raise ValueError("constraint dimensions disagree")
-        if sense == ">=":
-            rows.append(u)
-            rhs.append(float(offset))
-        elif sense == "<=":
-            rows.append(-u)
-            rhs.append(-float(offset))
-        else:
-            raise ValueError(f"unknown sense {sense!r}")
-    if not rows:
-        raise ValueError("no constraints given")
-    return np.array(rows), np.array(rhs)
-
-
-def _unit_rows(G, h):
-    """The rows G x >= h rescaled to unit normals.
-
-    Each row is divided by its norm from _norms, so scaling a row by a power
-    of two leaves G and h bit-identical.
-    """
-    if not (np.isfinite(G).all() and np.isfinite(h).all()):
-        raise ValueError("constraints must be finite")
-    norms = _norms(G, axis=1)
-    if not norms.all():
-        raise ValueError("zero constraint normal")
-    return G / norms[:, None], h / norms
 
 
 def _least_distance_feasible(G, h, box, margin):
@@ -384,15 +314,15 @@ def _least_distance_feasible(G, h, box, margin):
     return LpResult(status="infeasible", witness=None, margin=math.nan)
 
 
-def lp_feasible(constraints, box=DEFAULT_BOX, margin=DEFAULT_MARGIN):
+def lp_feasible(G, h, box=DEFAULT_BOX, margin=DEFAULT_MARGIN):
     """Decide whether the linear inequalities admit a point with uniform slack.
 
-    `constraints` is an iterable of finite (normal, offset, sense) triples
-    encoding <normal, x> <= offset (sense "<=") or >= offset (sense ">=").
-    They are rewritten as rows G x >= h with unit normals (rescaled by
-    _norms, so any finite nonzero scale works), so `margin` is a geometric
-    distance.  The system is "feasible" when some x with ||x||_inf <= box
-    has common slack min(G x - h) >= margin.
+    The system is G x >= h, given as a finite (k, m) array G with nonzero
+    rows and a finite (k,) array h.  Each row is divided by its norm from
+    _norms, so any finite nonzero scale works, scaling a row by a power of
+    two leaves the verdict and witness bit-identical, and `margin` is a
+    geometric distance.  The system is "feasible" when some x with
+    ||x||_inf <= box has common slack min(G x - h) >= margin.
 
     Candidate step: a homogeneous system (every offset 0) first tries x =
     box * y / max|y|, y = G^T 1 the sum of its unit rows, and answers
@@ -431,15 +361,23 @@ def lp_feasible(constraints, box=DEFAULT_BOX, margin=DEFAULT_MARGIN):
     system, only when the LP optimum lies in [margin, 2 margin) or the
     least-norm x leaves the box by at most a factor sqrt(m).  A "feasible"
     verdict carries its checked witness, so it cannot err the other way.
+
+    Raises ValueError when there are no rows, the shapes disagree, an entry
+    is not finite or a row of G is zero.
     """
-    return _feasible(*_constraint_rows(constraints), box, margin)
-
-
-def _feasible(G, h, box=DEFAULT_BOX, margin=DEFAULT_MARGIN):
-    """lp_feasible of the system G x >= h, given as a (k, m) array G and a
-    (k,) array h: the entry for callers that hold their rows as arrays."""
-    # C order: a row's products and norm then round as in lp_feasible's own rows.
-    G, h = _unit_rows(np.ascontiguousarray(G, dtype=float), np.asarray(h, dtype=float))
+    # C order: a row's products and norm round the same in either layout.
+    G = np.ascontiguousarray(G, dtype=float)
+    h = np.asarray(h, dtype=float)
+    if G.ndim != 2 or h.shape != G.shape[:1]:
+        raise ValueError("G must be (k, m) and h (k,): dimensions disagree")
+    if not h.size:
+        raise ValueError("no constraints given")
+    if not (np.isfinite(G).all() and np.isfinite(h).all()):
+        raise ValueError("constraints must be finite")
+    norms = _norms(G, axis=1)
+    if not norms.all():
+        raise ValueError("zero constraint normal")
+    G, h = G / norms[:, None], h / norms
     if not h.any():
         y = G.sum(axis=0)
         top = float(np.abs(y).max())
@@ -456,7 +394,7 @@ def _has_interior(G):
     feasibility question, lp_feasible's verdict on G x >= 0.  Scale free: only
     the depth of {G x >= 0} counts, against the threshold margin / box.
     Raises IndeterminateError when the solver hits its iteration cap."""
-    res = _feasible(G, np.zeros(len(G)))
+    res = lp_feasible(G, np.zeros(len(G)))
     if res.status == "indeterminate":
         raise IndeterminateError("interior LP indeterminate")
     return res.status == "feasible"

@@ -356,8 +356,7 @@ def test_cli_import_leaves_scipy_optimize_out():
 
 
 def _cap_nnls(monkeypatch):
-    monkeypatch.setattr(cones, "_lawson_hanson_rows",
-                        partial(kernels._lawson_hanson_rows, max_iter=0))
+    monkeypatch.setattr(cones, "nnls", partial(kernels.nnls, max_iter=0))
 
 
 def _fail_verification(monkeypatch):

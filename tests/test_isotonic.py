@@ -146,6 +146,16 @@ class TestSignFlipSearch:
             else:
                 assert ref is None
 
+    @pytest.mark.parametrize("G, message", [
+        (np.full((3, 3), np.nan), "finite"),
+        (np.array([[1.0, np.inf], [np.inf, 1.0]]), "finite"),
+        (np.ones(3), "square"),
+        (np.ones((2, 3)), "square"),
+    ], ids=["nan", "inf", "vector", "rectangle"])
+    def test_bad_gram_rejected(self, G, message):
+        with pytest.raises(ValueError, match=message):
+            sign_flip_search_gram(G)
+
 
 class TestTripleObstruction:
     def test_identity_none(self):
@@ -361,18 +371,17 @@ def test_cap_failure_late_in_block_keeps_earlier_violation(monkeypatch):
     capped_rows = []
 
     def capped(A, B, operators, max_iter=None):
-        C, iterations = kernels._lawson_hanson_rows(A, B, operators, max_iter=3)
+        C, iterations = kernels.nnls(A, B, operators, max_iter=3)
         capped_rows.append(int(np.isnan(C[:, 0]).sum()))
         return C, iterations
 
-    monkeypatch.setattr(cones, "_lawson_hanson_rows", capped)
+    monkeypatch.setattr(cones, "nnls", capped)
     same = falsify(K, L, cfg)
     assert capped_rows[-1] > 0  # the violating block holds a row past the cap
     assert_same_counterexample(same, cex)
     assert verify_certificate(same, K, L)
     # A cap that an earlier trial exceeds raises there, as trial by trial.
-    monkeypatch.setattr(cones, "_lawson_hanson_rows",
-                        partial(kernels._lawson_hanson_rows, max_iter=2))
+    monkeypatch.setattr(cones, "nnls", partial(kernels.nnls, max_iter=2))
     with pytest.raises(NonConvergenceError):
         falsify(K, L, cfg)
 
@@ -548,8 +557,7 @@ class TestVerifyCertificate:
         cex = falsify(triangle_cone(), Lorentz(3), FalsifierConfig(trials=1000, seed=42))
         generators = PolyhedralV(3, np.eye(3))
         assert verify_certificate(cex, triangle_cone(), Lorentz(3))
-        monkeypatch.setattr(cones, "_lawson_hanson_rows",
-                            partial(kernels._lawson_hanson_rows, max_iter=0))
+        monkeypatch.setattr(cones, "nnls", partial(kernels.nnls, max_iter=0))
         # A capped projection raises; a capped margin of L is a failed check.
         with pytest.raises(NonConvergenceError):
             verify_certificate(cex, triangle_cone(), Lorentz(3))
@@ -615,6 +623,5 @@ class TestReflectedOrthantInteriors:
             eps = np.array([-1.0 if bits & (1 << i) else 1.0 for i in range(m)])
             Keps = SignedOrthant(eps)
             # int(K_eps*) = int(K_eps): componentwise eps_i y_i > 0.
-            cons = [(row, 0.0, ">=") for row in np.diag(eps)]
-            cons += [(row, 0.0, ">=") for row in np.eye(m)]
-            assert lp_feasible(cons).status == "infeasible"
+            G = np.vstack([np.diag(eps), np.eye(m)])
+            assert lp_feasible(G, np.zeros(2 * m)).status == "infeasible"

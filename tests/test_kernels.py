@@ -1,24 +1,33 @@
 import math
+from functools import partial
 from itertools import combinations
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from coneproj import (
-    IndeterminateError,
-    SingularMatrixError,
-    lp_feasible,
-    nnls,
-)
-from coneproj import kernels
+from coneproj import Simplicial, is_proper, lp_feasible, nnls, project
+from coneproj import cones, kernels
 from coneproj.kernels import DEFAULT_BOX, DEFAULT_MARGIN, _norms, _row_min, _row_norms
+from conftest import ring_cone
+
+
+def rows(constraints):
+    """(normal, offset, sense) triples, <normal, x> >= offset or <= offset, as
+    the arrays G, h of the rows G x >= h."""
+    G = np.array([u if sense == ">=" else -u for u, _, sense in constraints], dtype=float)
+    h = np.array([c if sense == ">=" else -c for _, c, sense in constraints], dtype=float)
+    return G, h
+
+
+def feasible(constraints, **kwargs):
+    """lp_feasible of the triples."""
+    return lp_feasible(*rows(constraints), **kwargs)
 
 
 def unit_rows(constraints):
     """The constraints as rows G x >= h with unit normals."""
-    G = np.array([u if sense == ">=" else -u for u, _, sense in constraints], dtype=float)
-    h = np.array([c if sense == ">=" else -c for _, c, sense in constraints], dtype=float)
+    G, h = rows(constraints)
     norms = np.linalg.norm(G, axis=1)
     return G / norms[:, None], h / norms
 
@@ -47,18 +56,16 @@ def assert_witness(res, constraints, box=DEFAULT_BOX, margin=DEFAULT_MARGIN):
     assert res.margin == float((G @ x - h).min())
 
 
-def assert_array_form_agrees(res, constraints):
-    """kernels._feasible on the rows as arrays, as the library passes them
-    (offsets +0, C or Fortran order), returns res bit for bit."""
-    G = np.array([u if sense == ">=" else -u for u, _, sense in constraints], dtype=float)
-    h = np.array([c if sense == ">=" else -c for _, c, sense in constraints], dtype=float) + 0.0
-    for rows in (G, np.asfortranarray(G)):
-        other = kernels._feasible(rows, h)
-        assert other.status == res.status
-        assert (other.witness is None) == (res.witness is None)
-        if res.witness is not None:
-            assert np.array_equal(other.witness, res.witness)
-        assert np.array_equal(other.margin, res.margin, equal_nan=True)
+def assert_layout_agrees(res, constraints):
+    """lp_feasible on the rows in Fortran order, as the library may pass
+    them, returns res (from C order) bit for bit."""
+    G, h = rows(constraints)
+    other = lp_feasible(np.asfortranarray(G), h)
+    assert other.status == res.status
+    assert (other.witness is None) == (res.witness is None)
+    if res.witness is not None:
+        assert np.array_equal(other.witness, res.witness)
+    assert np.array_equal(other.margin, res.margin, equal_nan=True)
 
 
 def thin_cone(rng, m, depth, axis):
@@ -93,36 +100,43 @@ def brute_force_nnls(A, b):
     return best, best_res
 
 
+def solve(A, b, max_iter=None):
+    """nnls of one right-hand side: (coefficients, residual, clamped indices)."""
+    C, _ = nnls(A, b[None, :], max_iter=max_iter)
+    x = C[0]
+    return x, float(np.linalg.norm(b - A @ x)), frozenset(np.flatnonzero(x == 0.0).tolist())
+
+
 class TestNnls:
     def test_clamp(self):
-        res = nnls(np.eye(2), np.array([3.0, -1.0]))
-        np.testing.assert_allclose(res.coefficients, [3.0, 0.0])
-        assert res.residual == pytest.approx(1.0)
-        assert res.active == frozenset({1})
+        x, residual, active = solve(np.eye(2), np.array([3.0, -1.0]))
+        np.testing.assert_allclose(x, [3.0, 0.0])
+        assert residual == pytest.approx(1.0)
+        assert active == frozenset({1})
 
     def test_interior(self):
-        res = nnls(np.eye(2), np.array([2.0, 5.0]))
-        np.testing.assert_allclose(res.coefficients, [2.0, 5.0])
-        assert res.residual == pytest.approx(0.0, abs=1e-14)
-        assert res.active == frozenset()
+        x, residual, active = solve(np.eye(2), np.array([2.0, 5.0]))
+        np.testing.assert_allclose(x, [2.0, 5.0])
+        assert residual == pytest.approx(0.0, abs=1e-14)
+        assert active == frozenset()
 
     def test_matches_brute_force(self, rng):
         for _ in range(50):
             A = rng.standard_normal((6, 4))
             b = rng.standard_normal(6)
-            res = nnls(A, b)
+            x, residual, _ = solve(A, b)
             _, ref_res = brute_force_nnls(A, b)
-            assert res.residual == pytest.approx(ref_res, abs=1e-9)
-            assert np.min(res.coefficients) >= -1e-12
+            assert residual == pytest.approx(ref_res, abs=1e-9)
+            assert np.min(x) >= -1e-12
 
     def test_kkt_conditions(self, rng):
         for _ in range(30):
             A = rng.standard_normal((8, 5))
             b = rng.standard_normal(8)
-            res = nnls(A, b)
-            grad = A.T @ (A @ res.coefficients - b)
+            x, _, active = solve(A, b)
+            grad = A.T @ (A @ x - b)
             for i in range(5):
-                if i in res.active:
+                if i in active:
                     assert grad[i] >= -1e-8
                 else:
                     assert abs(grad[i]) <= 1e-8
@@ -130,38 +144,56 @@ class TestNnls:
     def test_never_better_than_unconstrained(self, rng):
         A = rng.standard_normal((7, 4))
         b = rng.standard_normal(7)
-        res = nnls(A, b)
+        _, residual, _ = solve(A, b)
         sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-        assert res.residual >= np.linalg.norm(A @ sol - b) - 1e-12
+        assert residual >= np.linalg.norm(A @ sol - b) - 1e-12
 
     def test_deterministic(self, rng):
         A = rng.standard_normal((6, 4))
         b = rng.standard_normal(6)
-        r1 = nnls(A, b)
-        r2 = nnls(A, b)
-        assert np.array_equal(r1.coefficients, r2.coefficients)
-        assert r1.residual == r2.residual
+        x1, r1, _ = solve(A, b)
+        x2, r2, _ = solve(A, b)
+        assert np.array_equal(x1, x2)
+        assert r1 == r2
 
-    def test_rank_deficient_rejected(self):
+    def test_rank_deficient_matches_brute_force(self):
+        # Dependent columns: the second never enters once the first is passive.
         A = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-        with pytest.raises(SingularMatrixError):
-            nnls(A, np.ones(3))
+        for b in (np.ones(3), -np.ones(3), np.array([1.0, -2.0, 0.5])):
+            x, residual, _ = solve(A, b)
+            _, ref_res = brute_force_nnls(A, b)
+            assert residual == pytest.approx(ref_res, abs=1e-12)
+            assert np.min(x) >= 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            nnls(np.eye(2), np.array([1.0, bad]))
+            nnls(np.array([[1.0, 0.0], [0.0, bad]]), np.ones((1, 2)))
+        # A non-finite right-hand side comes back NaN, and leaves the other rows be.
+        C, iterations = nnls(np.eye(2), np.array([[1.0, bad], [3.0, -1.0]]))
+        assert np.isnan(C[0]).all()
+        assert np.array_equal(C[1], [3.0, 0.0])
+        assert iterations[0] == 0
+
+    @pytest.mark.parametrize("A, B", [
+        (np.eye(2), np.ones(2)),
+        (np.eye(2), np.ones((1, 3))),
+        (np.ones(2), np.ones((1, 2))),
+    ], ids=["vector-b", "wrong-length", "vector-A"])
+    def test_bad_shape_rejected(self, A, B):
+        with pytest.raises(ValueError, match="A must be"):
+            nnls(A, B)
 
     def test_iteration_cap(self, rng):
         A = rng.standard_normal((6, 4))
         b = rng.standard_normal(6)
-        with pytest.raises(IndeterminateError):
-            nnls(A, b, max_iter=0)
+        x, _, _ = solve(A, b, max_iter=0)
+        assert np.isnan(x).all()
 
 
 class TestLpFeasible:
     def test_interval(self):
-        res = lp_feasible(
+        res = feasible(
             [(np.array([1.0]), 1.0, ">="), (np.array([1.0]), 2.0, "<=")],
             margin=0.1,
         )
@@ -169,13 +201,13 @@ class TestLpFeasible:
         assert 1.0 <= res.witness[0] <= 2.0
 
     def test_empty_interval(self):
-        res = lp_feasible(
+        res = feasible(
             [(np.array([1.0]), 1.0, ">="), (np.array([1.0]), 0.0, "<=")]
         )
         assert res.status == "infeasible"
 
     def test_open_quadrant(self):
-        res = lp_feasible(
+        res = feasible(
             [(np.array([1.0, 0.0]), 0.0, ">="), (np.array([0.0, 1.0]), 0.0, ">=")]
         )
         assert res.status == "feasible"
@@ -187,8 +219,8 @@ class TestLpFeasible:
                 (rng.standard_normal(3), rng.standard_normal(), "<=")
                 for _ in range(6)
             ]
-            full = lp_feasible(cons)
-            reduced = lp_feasible(cons[:-1])
+            full = feasible(cons)
+            reduced = feasible(cons[:-1])
             if full.status == "feasible":
                 assert reduced.status == "feasible"
 
@@ -226,20 +258,20 @@ class TestLpFeasibleCandidate:
             # of generators near the diagonal: deep, as the paper's pairs.
             V = np.abs(rng.standard_normal((m, m))) + np.eye(m)
             cons = [(v, 0.0, ">=") for v in V.T] + [(e, 0.0, ">=") for e in np.eye(m)]
-            res = lp_feasible(cons)
+            res = feasible(cons)
             assert res.status == "feasible"
             assert_witness(res, cons)
             assert res.margin >= 2.0 * math.sqrt(m) * DEFAULT_MARGIN
             assert float(np.abs(res.witness).max()) == DEFAULT_BOX
 
     def test_shallow_row_sum_reaches_solver(self, solves):
-        res = lp_feasible(SHALLOW_ROW_SUM)
+        res = feasible(SHALLOW_ROW_SUM)
         assert solves
         assert res.status == "feasible"
         assert_witness(res, SHALLOW_ROW_SUM)
 
     def test_inhomogeneous_reaches_solver(self, solves):
-        res = lp_feasible([(np.array([1.0, 0.0]), 1.0, ">="), (np.array([0.0, 1.0]), 1.0, ">=")])
+        res = feasible([(np.array([1.0, 0.0]), 1.0, ">="), (np.array([0.0, 1.0]), 1.0, ">=")])
         assert solves
         assert res.status == "feasible"
 
@@ -259,17 +291,16 @@ class TestLpFeasibleAgainstHighs:
                  "<=" if rng.random() < 0.5 else ">=")
                 for _ in range(k)
             ]
-            res = lp_feasible(cons)
+            res = feasible(cons)
             assert res.status == highs_feasible(cons)[0], (i, cons)
             if res.status == "feasible":
                 assert_witness(res, cons)
-            assert_array_form_agrees(res, cons)
+            assert_layout_agrees(res, cons)
             if homogeneous:
                 # The candidate step leaves every verdict as the
                 # least-distance route gives it.
-                route = kernels._least_distance_feasible(
-                    *kernels._unit_rows(*kernels._constraint_rows(cons)),
-                    DEFAULT_BOX, DEFAULT_MARGIN)
+                route = kernels._least_distance_feasible(*unit_rows(cons), DEFAULT_BOX,
+                                                         DEFAULT_MARGIN)
                 assert res.status == route.status, (i, cons)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 6])
@@ -281,8 +312,8 @@ class TestLpFeasibleAgainstHighs:
         for ratio in (0.05, 0.3, 0.6, 0.9, 1.1, 2.0, 10.0, 100.0, 1e4):
             for axis in (np.eye(m)[0], np.ones(m), rng.standard_normal(m)):
                 cons = thin_cone(rng, m, ratio * threshold, axis)
-                res = lp_feasible(cons)
-                assert_array_form_agrees(res, cons)
+                res = feasible(cons)
+                assert_layout_agrees(res, cons)
                 if ratio >= 1.1:
                     assert res.status == "feasible", (ratio, axis)
                 if ratio * math.sqrt(m) <= 0.9:
@@ -302,9 +333,9 @@ class TestLpFeasibleAgainstHighs:
             for ratio, expect in ((0.5, "infeasible"), (0.99, "infeasible"),
                                   (1.01, "feasible"), (2.0, "feasible"), (100.0, "feasible")):
                 cons = [(u, 1.0, ">=") for u, _, _ in thin_cone(rng, m, ratio / DEFAULT_BOX, np.eye(m)[0])]
-                res = lp_feasible(cons)
+                res = feasible(cons)
                 assert res.status == expect, (m, ratio)
-                assert_array_form_agrees(res, cons)
+                assert_layout_agrees(res, cons)
                 if expect == "feasible":
                     assert_witness(res, cons)
                     assert highs_feasible(cons)[0] == "feasible"
@@ -314,7 +345,7 @@ class TestLpFeasibleRobustness:
     @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1.0, 1e160, 1e200])
     def test_open_quadrant_at_extreme_scales(self, scale):
         cons = [(scale * np.array([1.0, 0.0]), 0.0, ">="), (scale * np.array([0.0, 1.0]), 0.0, ">=")]
-        res = lp_feasible(cons)
+        res = feasible(cons)
         assert res.status == "feasible"
         assert np.min(res.witness) > 0
         assert_witness(res, [(u / scale, c, s) for u, c, s in cons])
@@ -323,19 +354,17 @@ class TestLpFeasibleRobustness:
     def test_interval_at_extreme_scales(self, scale):
         # 1 <= x <= 2 with each row (normal and offset) multiplied by scale.
         cons = [(np.array([scale]), scale, ">="), (np.array([scale]), 2.0 * scale, "<=")]
-        res = lp_feasible(cons, margin=0.1)
+        res = feasible(cons, margin=0.1)
         assert res.status == "feasible"
         assert 1.1 <= res.witness[0] <= 1.9
 
     def test_iteration_cap_is_indeterminate(self, monkeypatch):
-        solve = kernels._lawson_hanson_rows
-        monkeypatch.setattr(kernels, "_lawson_hanson_rows",
-                            lambda A, B, ops, max_iter=None: solve(A, B, ops, 0))
-        res = lp_feasible(SHALLOW_ROW_SUM)
+        monkeypatch.setattr(kernels, "nnls", partial(nnls, max_iter=0))
+        res = feasible(SHALLOW_ROW_SUM)
         assert res.status == "indeterminate"
         assert res.witness is None
         # The candidate step needs no solver.
-        res = lp_feasible([(np.array([1.0, 0.0]), 0.0, ">="), (np.array([0.0, 1.0]), 0.0, ">=")])
+        res = feasible([(np.array([1.0, 0.0]), 0.0, ">="), (np.array([0.0, 1.0]), 0.0, ">=")])
         assert res.status == "feasible"
 
     @pytest.mark.parametrize("k", [-600, -60, 0, 60, 600])
@@ -345,25 +374,45 @@ class TestLpFeasibleRobustness:
         quadrant = [(np.array([1.0, 0.0]), 0.0, ">="), (np.array([0.0, 1.0]), 0.0, ">=")]
         interval = [(np.array([1.0]), 1.0, ">="), (np.array([1.0]), 2.0, "<=")]
         for cons, solved in ((quadrant, False), (SHALLOW_ROW_SUM, True), (interval, True)):
-            base = lp_feasible(cons, margin=0.1)
+            base = feasible(cons, margin=0.1)
             solves.clear()
-            res = lp_feasible([(np.ldexp(u, k), math.ldexp(c, k), s) for u, c, s in cons], margin=0.1)
+            res = feasible([(np.ldexp(u, k), math.ldexp(c, k), s) for u, c, s in cons], margin=0.1)
             assert bool(solves) == solved
             assert res.status == base.status == "feasible"
             assert np.array_equal(res.witness, base.witness)
             assert res.margin == base.margin
 
     @pytest.mark.parametrize("cons, message", [
-        ([], "no constraints"),
-        ([(np.zeros(2), 0.0, ">=")], "zero constraint normal"),
-        ([(np.ones(2), 0.0, ">="), (np.ones(3), 0.0, ">=")], "dimensions disagree"),
-        ([(np.ones(2), 0.0, "==")], "unknown sense"),
-        ([(np.array([1.0, np.inf]), 0.0, ">=")], "finite"),
-        ([(np.ones(2), np.nan, "<=")], "finite"),
+        ((np.zeros((0, 2)), np.zeros(0)), "no constraints"),
+        ((np.array([[1.0, 0.0], [0.0, 0.0]]), np.zeros(2)), "zero constraint normal"),
+        ((np.ones((2, 2)), np.zeros(3)), "dimensions disagree"),
+        ((np.ones(2), np.zeros(1)), "dimensions disagree"),
+        ((np.array([[1.0, np.inf]]), np.zeros(1)), "finite"),
+        ((np.ones((1, 2)), np.array([np.nan])), "finite"),
     ])
     def test_bad_input(self, cons, message):
         with pytest.raises(ValueError, match=message):
-            lp_feasible(cons)
+            lp_feasible(*cons)
+
+
+def test_library_calls_the_public_kernels(monkeypatch):
+    # A tracer that rebinds kernels.lp_feasible and cones.nnls sees every
+    # feasibility question and every NNLS solve of a projection.
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(kernels, "lp_feasible", counted("lp_feasible", lp_feasible))
+    monkeypatch.setattr(cones, "nnls", counted("nnls", nnls))
+    assert is_proper(ring_cone(8))
+    assert calls == ["lp_feasible"]
+    calls.clear()
+    project(Simplicial(np.array([[1.0, 1.0], [0.0, 1.0]])), np.array([-1.0, 2.0]))
+    assert calls == ["nnls"]
 
 
 class TestNorms:

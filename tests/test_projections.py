@@ -320,8 +320,7 @@ def test_operator_cache_is_bounded(monkeypatch, rng):
     (THREE_GENERATORS, [2.0, -1.0, 0.5]),
 ], ids=["simplicial", "halfspaces", "generators"])
 def test_solver_cap_raises_nonconvergence(monkeypatch, cone, x):
-    monkeypatch.setattr(cones, "_lawson_hanson_rows",
-                        partial(kernels._lawson_hanson_rows, max_iter=0))
+    monkeypatch.setattr(cones, "nnls", partial(kernels.nnls, max_iter=0))
     with pytest.raises(NonConvergenceError):
         project(cone, np.array(x))
 
