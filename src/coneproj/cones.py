@@ -94,9 +94,15 @@ class Hyperplane:
     anchor: np.ndarray
 
     def __post_init__(self):
+        if np.ndim(self.normal) != 1 or np.shape(self.anchor) != np.shape(self.normal):
+            raise ConeFormatError("hyperplane normal and anchor must be vectors of one size")
         # Both copies: the caller's arrays stay writeable.
         object.__setattr__(self, "normal", _unit(self.normal, None, "hyperplane normal"))
         object.__setattr__(self, "anchor", _read_only(_finite(self.anchor, "hyperplane anchor")))
+
+    @property
+    def dim(self):
+        return self.normal.size
 
 
 class _Cone:
@@ -570,12 +576,12 @@ def gram(E):
 def is_proper(cone, tol=MEMBERSHIP_TOL):
     """True iff the cone is pointed and generating.
 
-    Properness is decided scale free: a halfspace cone is solid when its
-    homogeneous system <u_i, x> < 0 has a point, and a generator cone is
-    pointed when <v_j, x> > 0 has one, each asked of kernels._has_interior.
-    Only the depth of the cone counts, against the threshold margin / box =
-    1e-10 of lp_feasible, so a cone as thin as |x1| <= 1e-8 x2 is proper.
-    The other families are proper by construction.
+    Properness is decided scale free: a halfspace cone is solid when
+    <u_i, x> < 0 has a point, and a generator cone is pointed when
+    <v_j, x> > 0 has one, each asked of kernels.lp_feasible(G).  Only the
+    depth of the cone counts, against its threshold margin / box = 1e-10,
+    so a cone as thin as |x1| <= 1e-8 x2 is proper.  The other families
+    are proper by construction.
 
     Raises IndeterminateError when the LP cannot decide.
     """

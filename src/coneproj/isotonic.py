@@ -172,8 +172,12 @@ class FalsifierConfig:
     scale: float = 10.0
 
     def __post_init__(self):
-        if self.trials < 1 or not (0 < self.tol < math.inf and 0 < self.scale < math.inf):
+        # Counts are ints or numpy integers, kept as int; a bool is not a count.
+        integral = all(type(n) is int or isinstance(n, np.integer) for n in (self.trials, self.seed))
+        if not integral or self.trials < 1 or not (0 < self.tol < math.inf and 0 < self.scale < math.inf):
             raise ValueError("invalid falsifier configuration")
+        object.__setattr__(self, "trials", int(self.trials))
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 Certificate = SubdualWitness | Obstruction | ContainmentReport | Counterexample

@@ -4,16 +4,16 @@ All kernels are deterministic and operate on small dense problems (tens of
 dimensions).  They back the cone projection and certification layers.
 
 One Lawson-Hanson NNLS solver (nnls) serves every projection without a
-closed form and also decides feasibility: lp_feasible finds the least-norm
-point of a system G x >= h, given as arrays, by least-distance programming
-(Lawson & Hanson, Solving Least Squares Problems, 1974, ch. 23), an NNLS
-problem on the matrix [G^T; h^T].  A homogeneous system first tries the sum
-of its unit rows as witness, and skips the solver when that point is deeper
-than 2 sqrt(m) margin, where the solver's verdict is "feasible" too.  Either
-way it returns "feasible" only with a witness that one product re-checks,
-so a feasibility verdict never rests on the solver alone.
-LpResult.margin is that witness's common slack: a lower bound on the optimum
-of the LP that maximizes the common slack, not the optimum itself.
+closed form and also answers the library's one LP question, whether G x > 0
+has a point: lp_feasible(G) finds the least-norm point of G y >= 1 by
+least-distance programming (Lawson & Hanson, Solving Least Squares
+Problems, 1974, ch. 23), an NNLS problem on the matrix [G^T; 1^T].  It
+first tries the sum of the unit rows as witness, and skips the solver when
+that point is deep enough.  Either way it returns "feasible" only with a
+witness that one product re-checks, so a feasibility verdict never rests on
+the solver alone.  LpResult.margin is that witness's common slack: a lower
+bound on the optimum of the LP that maximizes the common slack, not the
+optimum itself.
 """
 
 from __future__ import annotations
@@ -128,8 +128,12 @@ def pava(y):
 
     Returns the Euclidean projection of y onto {x : x_1 >= x_2 >= ... >= x_m},
     the one-row call of the row kernel the monotone cone projects with.
+    Raises ValueError unless y is a finite vector.
     """
-    return _isotonic_rows(np.asarray(y, dtype=float)[None, :])[0]
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1 or not np.isfinite(y).all():
+        raise ValueError("pava needs a finite vector")
+    return _isotonic_rows(y[None, :])[0]
 
 
 # Least-squares operators an NNLS solver keeps for one matrix, one for each
@@ -288,23 +292,30 @@ def _least_distance(G, h):
     return _operator(G.T, tight)[:, :h.size].dot(h)
 
 
-def _least_distance_feasible(G, h, box, margin):
-    """lp_feasible's verdict on unit rows G x >= h by least-distance programming."""
-    homogeneous = not h.any()
-    t = np.ones(h.size) if homogeneous else h + 2.0 * margin
+def _witness(G, y, depth):
+    """x = box * y / max|y| as a "feasible" LpResult if min(G x) >= depth, else None."""
+    top = float(np.abs(y).max())
+    if top > 0.0:
+        x = y / top * DEFAULT_BOX
+        slack = float((G @ x).min())
+        if slack >= depth:
+            return LpResult(status="feasible", witness=x, margin=slack)
+    return None
+
+
+def _least_distance_feasible(G):
+    """lp_feasible's verdict on unit rows G by least-distance programming."""
     y = np.zeros(G.shape[1])
     for _ in range(LDP_PASSES):
-        c = t - G @ y
+        c = 1.0 - G @ y
         e = np.frexp(np.abs(c).max())[1]
         w = _least_distance(G, np.ldexp(c, -e))
         if w is None:
             return LpResult(status="indeterminate", witness=None, margin=math.nan)
         y = y + np.ldexp(w, e)
-        top = float(np.abs(y).max())
-        x = y / top * box if homogeneous and top > 0.0 else y
-        slack = float((G @ x - h).min())
-        if slack >= margin and float(np.abs(x).max()) <= box:
-            return LpResult(status="feasible", witness=x, margin=slack)
+        res = _witness(G, y, DEFAULT_MARGIN)
+        if res is not None:
+            return res
         # Lawson-Hanson stops once no gradient exceeds NNLS_RTOL, which here
         # admits a row violated by up to about 4 NNLS_RTOL ||w||**2 of the
         # scaled right-hand side: correct y while that could pass 2**-10.
@@ -314,87 +325,61 @@ def _least_distance_feasible(G, h, box, margin):
     return LpResult(status="infeasible", witness=None, margin=math.nan)
 
 
-def lp_feasible(G, h, box=DEFAULT_BOX, margin=DEFAULT_MARGIN):
-    """Decide whether the linear inequalities admit a point with uniform slack.
+def lp_feasible(G):
+    """Decide whether G x > 0 has a point, for a finite (k, m) array G with
+    nonzero rows: "feasible" when some x with ||x||_inf <= DEFAULT_BOX has
+    common slack min(G x) >= DEFAULT_MARGIN on the unit rows.  Each row is
+    divided by its norm from _norms, so any finite nonzero scale works, and
+    scaling a row by a power of two leaves verdict and witness bit-identical.
+    Only the depth of {G x >= 0} counts, against margin / box = 1e-10.
 
-    The system is G x >= h, given as a finite (k, m) array G with nonzero
-    rows and a finite (k,) array h.  Each row is divided by its norm from
-    _norms, so any finite nonzero scale works, scaling a row by a power of
-    two leaves the verdict and witness bit-identical, and `margin` is a
-    geometric distance.  The system is "feasible" when some x with
-    ||x||_inf <= box has common slack min(G x - h) >= margin.
+    Candidate step: x = box * y / max|y|, y = G^T 1 the sum of the unit
+    rows, answers "feasible" when its slack is at least 2 sqrt(m) margin in
+    R^m.  That leaves every verdict as the least-distance route gives it:
+    the LP optimum s* is at least that slack, and the least-distance point
+    has slack at least s* / sqrt(m) >= 2 margin.  (Where that route would
+    hit its iteration cap, the candidate decides instead.)  Deep systems,
+    such as the interior intersections of the paper's cone pairs, cost one
+    product.
 
-    Candidate step: a homogeneous system (every offset 0) first tries x =
-    box * y / max|y|, y = G^T 1 the sum of its unit rows, and answers
-    "feasible" with it when its checked slack min(G x) is at least 2
-    sqrt(m) margin in R^m.  That leaves every verdict as the least-distance
-    route below gives it: the LP optimum s* is at least that slack, and the
-    least-distance point has slack at least s* / sqrt(m) >= 2 margin, twice
-    what it needs.  (Where that route would hit its iteration cap, the
-    candidate decides instead.)  Deeply feasible systems, such as the
-    interior intersections of the paper's cone pairs, then cost one
-    product.  Every other system, and every candidate below the threshold,
-    goes on to the least-distance route.
+    Least-distance route: y is the least-norm solution of G y >= 1
+    (_least_distance), and x = box * y / max|y|.  On a thin set the
+    solver's stopping test is coarse, so y is then corrected by the
+    least-norm d with G d >= 1 - G y, up to LDP_PASSES solves in all.
 
-    Least-distance route: least-distance programming on the shared
-    Lawson-Hanson solver (_least_distance), with each right-hand side
-    divided by the power of two nearest its largest entry.  A homogeneous
-    system is scale free: y is the least-norm solution of G y >= 1, and x =
-    box * y / max|y|.  Any other system is solved as G x >= h + 2 margin;
-    the doubled margin keeps the re-checked slack of the rows tight at x
-    above margin despite rounding.  On a thin set the solver's stopping test
-    is coarse, so the point is then corrected by the least-norm d with G d
-    >= rhs - G y (iterative refinement), up to LDP_PASSES solves in all.
+    Either step answers "feasible" only after checking min(G x) >= margin
+    on x itself; x is the witness and its slack the margin, a lower bound on
+    the optimum of the LP that maximizes the common slack over the box.
+    Otherwise the status is "infeasible", or "indeterminate" at the solver's
+    iteration cap.  Since y has the least 2-norm and the box bounds the
+    inf-norm, the verdict can differ from that LP only when its optimum lies
+    in [margin, sqrt(m) margin): a "feasible" verdict cannot err.
 
-    Returns "feasible" only after checking x directly, min(G x - h) >=
-    margin and max|x| <= box (which the candidate meets by construction,
-    max|x| = box); the result then holds x as witness and its common slack
-    as margin, a lower bound on the optimum of the LP that maximizes the
-    common slack over the box.  Otherwise the status is
-    "infeasible", or "indeterminate" when the solver hits its iteration cap.
-
-    Where the verdict can differ from that LP: x has the least 2-norm, while
-    the box bounds the inf-norm, which in R^m is at least the 2-norm over
-    sqrt(m).  So on a homogeneous system the two can disagree only when the
-    LP optimum lies in [margin, sqrt(m) margin), that is, when the depth of
-    the interior is within a factor sqrt(m) of margin / box.  On any other
-    system, only when the LP optimum lies in [margin, 2 margin) or the
-    least-norm x leaves the box by at most a factor sqrt(m).  A "feasible"
-    verdict carries its checked witness, so it cannot err the other way.
-
-    Raises ValueError when there are no rows, the shapes disagree, an entry
-    is not finite or a row of G is zero.
+    Raises ValueError when G is not a (k, m) array with rows, an entry is
+    not finite or a row is zero.
     """
     # C order: a row's products and norm round the same in either layout.
     G = np.ascontiguousarray(G, dtype=float)
-    h = np.asarray(h, dtype=float)
-    if G.ndim != 2 or h.shape != G.shape[:1]:
-        raise ValueError("G must be (k, m) and h (k,): dimensions disagree")
-    if not h.size:
+    if G.ndim != 2:
+        raise ValueError("G must be (k, m): dimensions disagree")
+    if not len(G):
         raise ValueError("no constraints given")
-    if not (np.isfinite(G).all() and np.isfinite(h).all()):
+    if not np.isfinite(G).all():
         raise ValueError("constraints must be finite")
     norms = _norms(G, axis=1)
     if not norms.all():
         raise ValueError("zero constraint normal")
-    G, h = G / norms[:, None], h / norms
-    if not h.any():
-        y = G.sum(axis=0)
-        top = float(np.abs(y).max())
-        if top > 0.0:
-            x = y / top * box
-            slack = float((G @ x).min())
-            if slack >= 2.0 * math.sqrt(G.shape[1]) * margin:
-                return LpResult(status="feasible", witness=x, margin=slack)
-    return _least_distance_feasible(G, h, box, margin)
+    G = G / norms[:, None]
+    res = _witness(G, G.sum(axis=0), 2.0 * math.sqrt(G.shape[1]) * DEFAULT_MARGIN)
+    return _least_distance_feasible(G) if res is None else res
 
 
 def _has_interior(G):
-    """True iff G x > 0 has a point, for a (k, m) array G: the library's one
-    feasibility question, lp_feasible's verdict on G x >= 0.  Scale free: only
-    the depth of {G x >= 0} counts, against the threshold margin / box.
-    Raises IndeterminateError when the solver hits its iteration cap."""
-    res = lp_feasible(G, np.zeros(len(G)))
+    """True iff G x > 0 has a point, for a (k, m) array G: lp_feasible's
+    verdict as a bool, asked through the module global so that a tracer
+    that rebinds kernels.lp_feasible sees every call.  Raises
+    IndeterminateError when the solver hits its iteration cap."""
+    res = lp_feasible(G)
     if res.status == "indeterminate":
         raise IndeterminateError("interior LP indeterminate")
     return res.status == "feasible"

@@ -50,7 +50,7 @@ class ProjectionResult:
 
 def project_hyperplane(h: Hyperplane, x):
     """Orthogonal projection onto the hyperplane through h.anchor with normal h.normal."""
-    x = np.asarray(x, dtype=float)
+    x = _check_dim(h, x)
     u = h.normal
     return x - (float(u @ x) - float(u @ h.anchor)) * u
 

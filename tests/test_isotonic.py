@@ -267,6 +267,16 @@ class TestFalsify:
         with pytest.raises(ValueError, match="falsifier configuration"):
             FalsifierConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["trials", "seed"])
+    @pytest.mark.parametrize("value", [3.5, 1.0, "3", True, False, None])
+    def test_config_rejects_non_integer_trials_and_seed(self, field, value):
+        with pytest.raises(ValueError, match="falsifier configuration"):
+            FalsifierConfig(**{field: value})
+
+    def test_config_accepts_numpy_integers(self):
+        cfg = FalsifierConfig(trials=np.int64(50), seed=np.int32(7))
+        assert falsify(Orthant(2), Orthant(2), cfg) is None
+
     def test_orthant_self_clean(self):
         cfg = FalsifierConfig(trials=2000, seed=42)
         assert falsify(Orthant(3), Orthant(3), cfg) is None
@@ -386,12 +396,11 @@ def test_cap_failure_late_in_block_keeps_earlier_violation(monkeypatch):
         falsify(K, L, cfg)
 
 
-def isac_nemeth_cone(rng, m, acute):
-    """K = {x : <u_i, x> >= 0} in halfspace form, the u_i the rows of chol(M).
-
-    M = [<u_i, u_j>] has unit diagonal, off-diagonals <= 0 and least
-    eigenvalue >= 0.05; with `acute`, one off-diagonal pair is set in
-    [0.2, 0.6] instead.  Draws that lose the eigenvalue bound are redrawn.
+def isac_nemeth_gram(rng, m, acute):
+    """Gram matrix M = [<u_i, u_j>] of m unit vectors: unit diagonal,
+    off-diagonals <= 0 and least eigenvalue >= 0.05; with `acute`, one
+    off-diagonal pair is set in [0.2, 0.6] instead.  Draws that lose the
+    eigenvalue bound are redrawn.
     """
     while True:
         A = np.triu(rng.uniform(0.0, 1.0, (m, m)) * (rng.uniform(size=(m, m)) < 0.6), 1)
@@ -402,18 +411,38 @@ def isac_nemeth_cone(rng, m, acute):
             i, j = rng.choice(m, 2, replace=False)
             M[i, j] = M[j, i] = rng.uniform(0.2, 0.6)
         if np.linalg.eigvalsh(M)[0] >= 0.05:
-            return PolyhedralH(m, -np.linalg.cholesky(M))
+            return M
 
 
-@pytest.mark.parametrize("acute", [False, True], ids=["obtuse-held", "acute-refuted"])
-def test_isac_nemeth_halfspace_cones(acute):
+# K = {x : <u_i, x> >= 0}, the u_i the rows of L = chol(M), in two forms:
+# the facet normals -L, or the generators inv(L), as L x >= 0 iff x = inv(L) y
+# with y >= 0.
+ISAC_NEMETH_FORMS = {
+    "halfspace": lambda M: PolyhedralH(len(M), -np.linalg.cholesky(M)),
+    "simplicial": lambda M: Simplicial(np.linalg.inv(np.linalg.cholesky(M))),
+}
+
+
+@pytest.mark.parametrize("form, acute", [
+    pytest.param("halfspace", False, id="obtuse-held"),
+    pytest.param("halfspace", True, id="acute-refuted"),
+    pytest.param("simplicial", False, id="simplicial-obtuse-held"),
+    pytest.param("simplicial", True, id="simplicial-acute-refuted"),
+    pytest.param("monotone", False, id="monotone-held"),
+])
+def test_isac_nemeth_halfspace_cones(form, acute):
     # Isac & Nemeth (1986): with u_1..u_m independent, the projection onto
     # K = {x : <u_i, x> >= 0} is K-isotone iff <u_i, u_j> <= 0 for i != j.
+    # The monotone cone has u_i = e_i - e_(i+1) and u_m = e_m, projected by
+    # PAVA; it has no draw, so two falsifier seeds stand in for the two draws.
     rng = np.random.default_rng(1986)
     for m in range(2, 9):
-        for _ in range(2):
-            K = isac_nemeth_cone(rng, m, acute)
-            cex = falsify(K, K, FalsifierConfig(trials=3000, seed=m))
+        for draw in range(2):
+            if form == "monotone":
+                K, seed = MonotoneNonneg(m), 10 * m + draw
+            else:
+                K, seed = ISAC_NEMETH_FORMS[form](isac_nemeth_gram(rng, m, acute)), m
+            cex = falsify(K, K, FalsifierConfig(trials=3000, seed=seed))
             if acute:
                 assert cex is not None and verify_certificate(cex, K, K)
             else:
@@ -624,4 +653,4 @@ class TestReflectedOrthantInteriors:
             Keps = SignedOrthant(eps)
             # int(K_eps*) = int(K_eps): componentwise eps_i y_i > 0.
             G = np.vstack([np.diag(eps), np.eye(m)])
-            assert lp_feasible(G, np.zeros(2 * m)).status == "infeasible"
+            assert lp_feasible(G).status == "infeasible"

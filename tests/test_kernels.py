@@ -12,55 +12,40 @@ from coneproj.kernels import DEFAULT_BOX, DEFAULT_MARGIN, _norms, _row_min, _row
 from conftest import ring_cone
 
 
-def rows(constraints):
-    """(normal, offset, sense) triples, <normal, x> >= offset or <= offset, as
-    the arrays G, h of the rows G x >= h."""
-    G = np.array([u if sense == ">=" else -u for u, _, sense in constraints], dtype=float)
-    h = np.array([c if sense == ">=" else -c for _, c, sense in constraints], dtype=float)
-    return G, h
+def unit_rows(G):
+    """The rows of G scaled to unit length."""
+    G = np.asarray(G, dtype=float)
+    return G / np.linalg.norm(G, axis=1)[:, None]
 
 
-def feasible(constraints, **kwargs):
-    """lp_feasible of the triples."""
-    return lp_feasible(*rows(constraints), **kwargs)
-
-
-def unit_rows(constraints):
-    """The constraints as rows G x >= h with unit normals."""
-    G, h = rows(constraints)
-    norms = np.linalg.norm(G, axis=1)
-    return G / norms[:, None], h / norms
-
-
-def highs_feasible(constraints, box=DEFAULT_BOX, margin=DEFAULT_MARGIN):
+def highs_feasible(G):
     """Reference verdict from HiGHS: maximize the common slack s of the unit
-    rows over the box ||x||_inf <= box (with s <= box) and compare it with
-    margin.  Returns (status, optimum s)."""
-    G, h = unit_rows(constraints)
+    rows of G x >= 0 over the box ||x||_inf <= box (with s <= box) and
+    compare it with margin.  Returns (status, optimum s)."""
+    G = unit_rows(G)
     m = G.shape[1]
     cost = np.zeros(m + 1)
     cost[-1] = -1.0
-    res = linprog(cost, A_ub=np.column_stack([-G, np.ones(len(h))]), b_ub=-h,
-                  bounds=[(-box, box)] * m + [(None, box)], method="highs")
+    res = linprog(cost, A_ub=np.column_stack([-G, np.ones(len(G))]), b_ub=np.zeros(len(G)),
+                  bounds=[(-DEFAULT_BOX, DEFAULT_BOX)] * m + [(None, DEFAULT_BOX)], method="highs")
     assert res.success
     slack = float(res.x[-1])
-    return ("feasible" if slack >= margin else "infeasible"), slack
+    return ("feasible" if slack >= DEFAULT_MARGIN else "infeasible"), slack
 
 
-def assert_witness(res, constraints, box=DEFAULT_BOX, margin=DEFAULT_MARGIN):
+def assert_witness(res, G):
     """A "feasible" verdict's witness, re-checked with one product."""
-    G, h = unit_rows(constraints)
     x = res.witness
-    assert float((G @ x - h).min()) >= margin
-    assert float(np.abs(x).max()) <= box
-    assert res.margin == float((G @ x - h).min())
+    slack = float((unit_rows(G) @ x).min())
+    assert slack >= DEFAULT_MARGIN
+    assert float(np.abs(x).max()) <= DEFAULT_BOX
+    assert res.margin == slack
 
 
-def assert_layout_agrees(res, constraints):
-    """lp_feasible on the rows in Fortran order, as the library may pass
-    them, returns res (from C order) bit for bit."""
-    G, h = rows(constraints)
-    other = lp_feasible(np.asfortranarray(G), h)
+def assert_layout_agrees(res, G):
+    """lp_feasible on G in Fortran order, as the library may pass it,
+    returns res (from C order) bit for bit."""
+    other = lp_feasible(np.asfortranarray(G))
     assert other.status == res.status
     assert (other.witness is None) == (res.witness is None)
     if res.witness is not None:
@@ -69,15 +54,14 @@ def assert_layout_agrees(res, constraints):
 
 
 def thin_cone(rng, m, depth, axis):
-    """Homogeneous system of a cone of the given depth around `axis`: the
-    rows depth * d +- sqrt(1 - depth^2) w_j, with d the unit axis and w_j an
-    orthonormal basis of its complement.  Its least-norm point with every
-    slack 1 is d / depth."""
+    """Rows G of a cone {G x >= 0} of the given depth around `axis`: depth *
+    d +- sqrt(1 - depth^2) w_j, with d the unit axis and w_j an orthonormal
+    basis of its complement.  Its least-norm point with every slack 1 is d
+    / depth."""
     d = axis / np.linalg.norm(axis)
     Q, _ = np.linalg.qr(np.column_stack([d, rng.standard_normal((m, m - 1))]))
     side = math.sqrt(1.0 - depth * depth)
-    rows = [depth * d + s * side * Q[:, j] for j in range(1, m) for s in (1.0, -1.0)]
-    return [(u, 0.0, ">=") for u in rows]
+    return np.array([depth * d + s * side * Q[:, j] for j in range(1, m) for s in (1.0, -1.0)])
 
 
 def brute_force_nnls(A, b):
@@ -191,43 +175,24 @@ class TestNnls:
         assert np.isnan(x).all()
 
 
+QUADRANT = np.eye(2)
+
+
 class TestLpFeasible:
-    def test_interval(self):
-        res = feasible(
-            [(np.array([1.0]), 1.0, ">="), (np.array([1.0]), 2.0, "<=")],
-            margin=0.1,
-        )
-        assert res.status == "feasible"
-        assert 1.0 <= res.witness[0] <= 2.0
-
-    def test_empty_interval(self):
-        res = feasible(
-            [(np.array([1.0]), 1.0, ">="), (np.array([1.0]), 0.0, "<=")]
-        )
-        assert res.status == "infeasible"
-
     def test_open_quadrant(self):
-        res = feasible(
-            [(np.array([1.0, 0.0]), 0.0, ">="), (np.array([0.0, 1.0]), 0.0, ">=")]
-        )
+        res = lp_feasible(QUADRANT)
         assert res.status == "feasible"
         assert np.min(res.witness) > 0
 
     def test_monotone_under_constraint_removal(self, rng):
         for _ in range(20):
-            cons = [
-                (rng.standard_normal(3), rng.standard_normal(), "<=")
-                for _ in range(6)
-            ]
-            full = feasible(cons)
-            reduced = feasible(cons[:-1])
-            if full.status == "feasible":
-                assert reduced.status == "feasible"
-
+            G = rng.standard_normal((6, 3))
+            if lp_feasible(G).status == "feasible":
+                assert lp_feasible(G[:-1]).status == "feasible"
 
 
 # Feasible, but its unit rows sum to a shallow point: the solver decides it.
-SHALLOW_ROW_SUM = [(np.array([1.0, 0.0]), 0.0, ">=")] * 5 + [(np.array([-0.5, 0.866]), 0.0, ">=")]
+SHALLOW_ROW_SUM = np.array([[1.0, 0.0]] * 5 + [[-0.5, 0.866]])
 
 
 @pytest.fixture
@@ -257,23 +222,18 @@ class TestLpFeasibleCandidate:
             # Interior of the orthant intersected with int(K*) for a cone K
             # of generators near the diagonal: deep, as the paper's pairs.
             V = np.abs(rng.standard_normal((m, m))) + np.eye(m)
-            cons = [(v, 0.0, ">=") for v in V.T] + [(e, 0.0, ">=") for e in np.eye(m)]
-            res = feasible(cons)
+            G = np.vstack([V.T, np.eye(m)])
+            res = lp_feasible(G)
             assert res.status == "feasible"
-            assert_witness(res, cons)
+            assert_witness(res, G)
             assert res.margin >= 2.0 * math.sqrt(m) * DEFAULT_MARGIN
             assert float(np.abs(res.witness).max()) == DEFAULT_BOX
 
     def test_shallow_row_sum_reaches_solver(self, solves):
-        res = feasible(SHALLOW_ROW_SUM)
+        res = lp_feasible(SHALLOW_ROW_SUM)
         assert solves
         assert res.status == "feasible"
         assert_witness(res, SHALLOW_ROW_SUM)
-
-    def test_inhomogeneous_reaches_solver(self, solves):
-        res = feasible([(np.array([1.0, 0.0]), 1.0, ">="), (np.array([0.0, 1.0]), 1.0, ">=")])
-        assert solves
-        assert res.status == "feasible"
 
 
 class TestLpFeasibleAgainstHighs:
@@ -284,24 +244,25 @@ class TestLpFeasibleAgainstHighs:
         for i in range(4000):
             m = int(rng.integers(2, 7))
             k = int(rng.integers(2, 13))
-            homogeneous = i % 2 == 0
-            cons = [
-                (rng.standard_normal(m),
-                 0.0 if homogeneous else float(rng.standard_normal()),
-                 "<=" if rng.random() < 0.5 else ">=")
-                for _ in range(k)
-            ]
-            res = feasible(cons)
-            assert res.status == highs_feasible(cons)[0], (i, cons)
+            # Each odd draw takes an offset per row and is skipped, so the
+            # even draws are the same systems whatever the odd ones were for.
+            G = []
+            for _ in range(k):
+                u = rng.standard_normal(m)
+                if i % 2:
+                    rng.standard_normal()
+                G.append(-u if rng.random() < 0.5 else u)
+            if i % 2:
+                continue
+            G = np.array(G)
+            res = lp_feasible(G)
+            assert res.status == highs_feasible(G)[0], (i, G)
             if res.status == "feasible":
-                assert_witness(res, cons)
-            assert_layout_agrees(res, cons)
-            if homogeneous:
-                # The candidate step leaves every verdict as the
-                # least-distance route gives it.
-                route = kernels._least_distance_feasible(*unit_rows(cons), DEFAULT_BOX,
-                                                         DEFAULT_MARGIN)
-                assert res.status == route.status, (i, cons)
+                assert_witness(res, G)
+            assert_layout_agrees(res, G)
+            # The candidate step leaves every verdict as the least-distance
+            # route gives it.
+            assert res.status == kernels._least_distance_feasible(unit_rows(G)).status, (i, G)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 6])
     def test_thin_cones_near_threshold(self, m):
@@ -311,88 +272,60 @@ class TestLpFeasibleAgainstHighs:
         threshold = DEFAULT_MARGIN / DEFAULT_BOX
         for ratio in (0.05, 0.3, 0.6, 0.9, 1.1, 2.0, 10.0, 100.0, 1e4):
             for axis in (np.eye(m)[0], np.ones(m), rng.standard_normal(m)):
-                cons = thin_cone(rng, m, ratio * threshold, axis)
-                res = feasible(cons)
-                assert_layout_agrees(res, cons)
+                G = thin_cone(rng, m, ratio * threshold, axis)
+                res = lp_feasible(G)
+                assert_layout_agrees(res, G)
                 if ratio >= 1.1:
                     assert res.status == "feasible", (ratio, axis)
                 if ratio * math.sqrt(m) <= 0.9:
                     assert res.status == "infeasible", (ratio, axis)
-                status, slack = highs_feasible(cons)
+                status, slack = highs_feasible(G)
                 if res.status == "feasible":
-                    assert_witness(res, cons)
+                    assert_witness(res, G)
                 elif status == "feasible":
                     # The documented band: LP optimum below sqrt(m) * margin.
                     assert slack < math.sqrt(m) * DEFAULT_MARGIN, (ratio, axis)
-
-    def test_thin_inhomogeneous_threshold(self):
-        # <g, x> >= 1 on a thin cone around e1: the least-norm point is
-        # (1 + 2 margin) / depth * e1, inside the box iff depth >= (1 + 2 margin) / box.
-        rng = np.random.default_rng(7)
-        for m in (2, 3, 5):
-            for ratio, expect in ((0.5, "infeasible"), (0.99, "infeasible"),
-                                  (1.01, "feasible"), (2.0, "feasible"), (100.0, "feasible")):
-                cons = [(u, 1.0, ">=") for u, _, _ in thin_cone(rng, m, ratio / DEFAULT_BOX, np.eye(m)[0])]
-                res = feasible(cons)
-                assert res.status == expect, (m, ratio)
-                assert_layout_agrees(res, cons)
-                if expect == "feasible":
-                    assert_witness(res, cons)
-                    assert highs_feasible(cons)[0] == "feasible"
 
 
 class TestLpFeasibleRobustness:
     @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1.0, 1e160, 1e200])
     def test_open_quadrant_at_extreme_scales(self, scale):
-        cons = [(scale * np.array([1.0, 0.0]), 0.0, ">="), (scale * np.array([0.0, 1.0]), 0.0, ">=")]
-        res = feasible(cons)
+        res = lp_feasible(scale * QUADRANT)
         assert res.status == "feasible"
         assert np.min(res.witness) > 0
-        assert_witness(res, [(u / scale, c, s) for u, c, s in cons])
-
-    @pytest.mark.parametrize("scale", [1e-200, 1e200])
-    def test_interval_at_extreme_scales(self, scale):
-        # 1 <= x <= 2 with each row (normal and offset) multiplied by scale.
-        cons = [(np.array([scale]), scale, ">="), (np.array([scale]), 2.0 * scale, "<=")]
-        res = feasible(cons, margin=0.1)
-        assert res.status == "feasible"
-        assert 1.1 <= res.witness[0] <= 1.9
+        assert_witness(res, QUADRANT)
 
     def test_iteration_cap_is_indeterminate(self, monkeypatch):
         monkeypatch.setattr(kernels, "nnls", partial(nnls, max_iter=0))
-        res = feasible(SHALLOW_ROW_SUM)
+        res = lp_feasible(SHALLOW_ROW_SUM)
         assert res.status == "indeterminate"
         assert res.witness is None
         # The candidate step needs no solver.
-        res = feasible([(np.array([1.0, 0.0]), 0.0, ">="), (np.array([0.0, 1.0]), 0.0, ">=")])
-        assert res.status == "feasible"
+        assert lp_feasible(QUADRANT).status == "feasible"
 
     @pytest.mark.parametrize("k", [-600, -60, 0, 60, 600])
     def test_power_of_two_scaling(self, solves, k):
         # Unit rows are bit-identical under row scaling by 2**k, and so is
-        # every verdict and witness, on both routes.
-        quadrant = [(np.array([1.0, 0.0]), 0.0, ">="), (np.array([0.0, 1.0]), 0.0, ">=")]
-        interval = [(np.array([1.0]), 1.0, ">="), (np.array([1.0]), 2.0, "<=")]
-        for cons, solved in ((quadrant, False), (SHALLOW_ROW_SUM, True), (interval, True)):
-            base = feasible(cons, margin=0.1)
+        # every verdict and witness, on both steps.
+        for G, solved in ((QUADRANT, False), (SHALLOW_ROW_SUM, True)):
+            base = lp_feasible(G)
             solves.clear()
-            res = feasible([(np.ldexp(u, k), math.ldexp(c, k), s) for u, c, s in cons], margin=0.1)
+            res = lp_feasible(np.ldexp(G, k))
             assert bool(solves) == solved
             assert res.status == base.status == "feasible"
             assert np.array_equal(res.witness, base.witness)
             assert res.margin == base.margin
 
     @pytest.mark.parametrize("cons, message", [
-        ((np.zeros((0, 2)), np.zeros(0)), "no constraints"),
-        ((np.array([[1.0, 0.0], [0.0, 0.0]]), np.zeros(2)), "zero constraint normal"),
-        ((np.ones((2, 2)), np.zeros(3)), "dimensions disagree"),
-        ((np.ones(2), np.zeros(1)), "dimensions disagree"),
-        ((np.array([[1.0, np.inf]]), np.zeros(1)), "finite"),
-        ((np.ones((1, 2)), np.array([np.nan])), "finite"),
+        (np.zeros((0, 2)), "no constraints"),
+        (np.array([[1.0, 0.0], [0.0, 0.0]]), "zero constraint normal"),
+        (np.ones((1, 1, 2)), "dimensions disagree"),
+        (np.ones(2), "dimensions disagree"),
+        (np.array([[1.0, np.inf]]), "finite"),
     ])
     def test_bad_input(self, cons, message):
         with pytest.raises(ValueError, match=message):
-            lp_feasible(*cons)
+            lp_feasible(cons)
 
 
 def test_library_calls_the_public_kernels(monkeypatch):

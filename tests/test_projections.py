@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from coneproj import (
+    ConeFormatError,
     DimensionMismatchError,
     Hyperplane,
     Lorentz,
@@ -296,6 +297,18 @@ def test_row_kernels_independent_of_block(cone, size):
             assert membership(cone, d / scale)
 
 
+@pytest.mark.parametrize("cone", BLOCK_CONES.values(), ids=BLOCK_CONES.keys())
+def test_projection_commutes_with_powers_of_two(cone, rng):
+    # P(2**k x) = 2**k P(x) bit for bit, signs of zero included, on rows with
+    # norms from 1e-3 to 1e3, so no entry nears the subnormals.
+    X = kernel_test_rows(cone, rng)
+    P = [project(cone, x).point for x in X]
+    for k in (-600, -300, -60, -1, 1, 60, 300, 600):
+        for x, p in zip(X, P):
+            np.testing.assert_array_equal(project(cone, np.ldexp(x, k)).point.view(np.uint64),
+                                          np.ldexp(p, k).view(np.uint64))
+
+
 @pytest.mark.parametrize("scale", [1e200, 1e-300])
 def test_generator_margin_does_not_overflow(scale):
     x = scale * np.array([-2.0, 0.5, 0.3])
@@ -413,6 +426,12 @@ class TestPava:
     def test_already_monotone(self):
         np.testing.assert_allclose(pava([3.0, 2.0, 1.0]), [3.0, 2.0, 1.0])
 
+    @pytest.mark.parametrize("y", [[1.0, np.nan, 2.0], [np.inf, 0.0], [[1.0, 2.0]]],
+                             ids=["nan", "inf", "matrix"])
+    def test_rejects_non_finite_or_non_vector(self, y):
+        with pytest.raises(ValueError, match="finite vector"):
+            pava(y)
+
     def test_full_pool(self):
         np.testing.assert_allclose(pava([1.0, 2.0, 3.0]), [2.0, 2.0, 2.0])
 
@@ -481,6 +500,24 @@ class TestHyperplane:
             h.normal[0] = 0.0
         with pytest.raises(ValueError):
             h.anchor[0] = 1.0
+
+    def test_bad_point_rejected(self):
+        h = Hyperplane(np.array([1.0, 1.0]), np.zeros(2))
+        assert h.dim == 2
+        with pytest.raises(ValueError, match="finite"):
+            project_hyperplane(h, [np.nan, 1.0])
+        with pytest.raises(DimensionMismatchError):
+            project_hyperplane(h, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("normal, anchor", [
+        (np.eye(2), np.zeros(2)),
+        (np.ones(2), np.zeros(3)),
+        (np.ones(2), np.zeros((2, 1))),
+        (np.float64(1.0), np.float64(0.0)),
+    ], ids=["matrix-normal", "longer-anchor", "column-anchor", "scalars"])
+    def test_malformed_hyperplane_rejected(self, normal, anchor):
+        with pytest.raises(ConeFormatError, match="vectors of one size"):
+            Hyperplane(normal, anchor)
 
     def test_idempotent(self, rng):
         h = Hyperplane(rng.standard_normal(4), rng.standard_normal(4))
