@@ -109,14 +109,19 @@ class _Cone:
     """Behaviour of one cone family, behind the module-level functions.
 
     A family overrides what it supports; an operation it lacks raises
-    UnsupportedConeError from the defaults here.  Every family has two row
-    kernels, which map a (B, m) array to results per row, row i depending on
-    row i alone, bit for bit.  _solve_rows gives (P, C, iterations): the
-    (B, m) projections, the coefficients that certify them (lambda >= 0 on
-    the generators, or mu >= 0 on the facet normals for halfspace cones;
-    None for the Lorentz and monotone cones) and the (B,) solver iterations
-    (None for closed forms).  _margin_rows gives the (B,) margins.  A row
-    whose solve hits the iteration cap comes out NaN.
+    UnsupportedConeError from the defaults here.  Facet normals follow one
+    rule for every family but PolyhedralH, which stores them: a proper cone
+    is {x : <u, x> <= 0} exactly when the vectors -u generate its dual, so
+    the rows of _facet_normals are the dual's generators, negated.
+
+    Every family has two row kernels, which map a (B, m) array to results
+    per row, row i depending on row i alone, bit for bit.  _solve_rows gives
+    (P, C, iterations): the (B, m) projections, the coefficients that
+    certify them (lambda >= 0 on the generators, or mu >= 0 on the facet
+    normals for halfspace cones; None for the Lorentz and monotone cones)
+    and the (B,) solver iterations (None for closed forms).  _margin_rows
+    gives the (B,) margins.  A row whose solve hits the iteration cap comes
+    out NaN.
     """
 
     @cached_property
@@ -129,9 +134,14 @@ class _Cone:
     def _generators(self):
         raise UnsupportedConeError(f"no generator representation for {type(self).__name__}")
 
-    @property
+    @cached_property
     def _facet_normals(self):
-        raise UnsupportedConeError(f"facet enumeration unavailable for {type(self).__name__}")
+        try:
+            V = self._dual._generators
+        except UnsupportedConeError:
+            raise UnsupportedConeError(
+                f"facet enumeration unavailable for {type(self).__name__}") from None
+        return _read_only(-V.T)
 
     def _active(self, x, p, c):
         """Facets active at the projection p of x, as indices into the rows of
@@ -172,10 +182,6 @@ class Orthant(_Cone):
     @cached_property
     def _generators(self):
         return _read_only(np.eye(self.dim))
-
-    @cached_property
-    def _facet_normals(self):
-        return _read_only(-np.eye(self.dim))
 
     def _solve_rows(self, X):
         P = np.maximum(X, 0.0)
@@ -221,10 +227,6 @@ class SignedOrthant(_Cone):
     @cached_property
     def _generators(self):
         return _read_only(np.diag(self.epsilon))
-
-    @cached_property
-    def _facet_normals(self):
-        return _read_only(-np.diag(self.epsilon))
 
     def _solve_rows(self, X):
         eps = self.epsilon
@@ -288,11 +290,6 @@ class Simplicial(_Cone):
     @property
     def _generators(self):
         return self.columns
-
-    @cached_property
-    def _facet_normals(self):
-        normals = -self.inverse  # negated dual generators, as rows
-        return _read_only(normals / np.linalg.norm(normals, axis=1)[:, None])
 
     def _solve_rows(self, X):
         """(E lam, lam, iterations) per row, lam >= 0 the coefficients on the
@@ -432,12 +429,6 @@ class Lorentz(_Cone):
         # The 2-dimensional Lorentz cone is the simplicial cone on (1,1), (-1,1).
         return _unit(np.array([[1.0, -1.0], [1.0, 1.0]]), 0, "generator")
 
-    @cached_property
-    def _facet_normals(self):
-        if self.dim != 2:
-            return super()._facet_normals
-        return _read_only(-self._generators.T)  # orthonormal generators: inverse = transpose
-
     def _solve_rows(self, X):
         t = X[:, -1]
         nx = _row_norms(X[:, :-1])
@@ -478,15 +469,6 @@ class MonotoneNonneg(_Cone):
     def _generators(self):
         return monotone_generators(self.dim)
 
-    @cached_property
-    def _facet_normals(self):
-        # x_i - x_{i+1} >= 0 for i < m, and x_m >= 0.
-        m = self.dim
-        rows = (np.eye(m, k=1) - np.eye(m))[:-1] / np.sqrt(2.0)
-        last = np.zeros((1, m))
-        last[0, -1] = -1.0
-        return _read_only(np.vstack([rows, last]))
-
     def _solve_rows(self, X):
         return np.maximum(_isotonic_rows(X), 0.0), None, None
 
@@ -495,7 +477,9 @@ class MonotoneNonneg(_Cone):
 
     @cached_property
     def _dual(self):
-        return Simplicial(columns=np.linalg.inv(self._generators).T)
+        # x_i - x_{i+1} >= 0 for i < m, and x_m >= 0: generators e_i - e_{i+1} and e_m.
+        m = self.dim
+        return Simplicial(columns=np.eye(m) - np.eye(m, k=-1))
 
 
 ConeSpec = (
@@ -515,6 +499,12 @@ def _check_dim(cone, x):
     if not all(map(math.isfinite, x.tolist())):
         raise ValueError("vector entries must be finite")
     return x
+
+
+def _check_tol(tol):
+    """ValueError unless 0 <= tol < inf: a NaN tol would fail every comparison."""
+    if not 0 <= tol < math.inf:
+        raise ValueError("tol must be finite and nonnegative")
 
 
 def monotone_generators(m):
@@ -543,8 +533,7 @@ def cone_margin(cone, x):
 
 def membership(cone, x, tol=MEMBERSHIP_TOL):
     """True iff x lies in the cone within tolerance tol."""
-    if not 0 <= tol < math.inf:
-        raise ValueError("tol must be finite and nonnegative")
+    _check_tol(tol)
     x = _check_dim(cone, x)
     # hypot: the norm of a finite vector stays finite at every scale.
     return cone_margin(cone, x) >= -tol * (1.0 + math.hypot(*x.tolist()))
@@ -558,7 +547,7 @@ def dual(cone):
 def sign_flip(cone, eps):
     """Reflected cone with generators e_i replaced by eps_i * e_i."""
     eps = np.asarray(eps, dtype=float)
-    if eps.size != cone.dim:
+    if eps.ndim != 1 or eps.size != cone.dim:
         raise DimensionMismatchError("sign vector dimension mismatch")
     if not np.all(np.abs(eps) == 1.0):
         raise ConeFormatError("sign vector entries must be +1 or -1")
@@ -573,7 +562,7 @@ def gram(E):
     return E.T @ E
 
 
-def is_proper(cone, tol=MEMBERSHIP_TOL):
+def is_proper(cone):
     """True iff the cone is pointed and generating.
 
     Properness is decided scale free: a halfspace cone is solid when
@@ -590,7 +579,9 @@ def is_proper(cone, tol=MEMBERSHIP_TOL):
 
 def facet_normals(cone):
     """Minimal unit facet normals u_i, as rows, with K = {x : <u_i, x> <= 0}: the
-    cone's own array, read-only where the cone stores it."""
+    negated generators of dual(cone), or a halfspace cone's own normals.  The
+    cone's own array, read-only; UnsupportedConeError when the dual has no
+    generators (generator cones, Lorentz cones above dimension 2)."""
     return cone._facet_normals
 
 

@@ -23,8 +23,8 @@ from .cones import (
     DimensionMismatchError,
     UnsupportedConeError,
     _check_dim,
+    _check_tol,
     cone_margin,
-    dual,
     facet_normals,
     generator_matrix,
     gram,
@@ -199,7 +199,7 @@ def hyperplane_isotone(K, u, tol=DEFAULT_TOL):
     Hyperplanes with nonzero anchor reduce to the same test because the
     ordering is translation invariant.
     """
-    u = np.asarray(u, dtype=float)
+    u = _check_dim(K, u)
     nu = float(np.linalg.norm(u))
     if abs(nu - 1.0) > 1e-9:
         raise ValueError("u must be unit length")
@@ -210,6 +210,7 @@ def hyperplane_isotone(K, u, tol=DEFAULT_TOL):
 
 def check_subdual(K, tol=DEFAULT_TOL):
     """True iff every pairwise generator inner product is >= -tol (K within K*)."""
+    _check_tol(tol)
     return float(np.min(gram(K))) >= -tol
 
 
@@ -220,6 +221,7 @@ def sign_flip_search_gram(G, tol=DEFAULT_TOL):
     opposite sides.  Breadth-first 2-coloring with parity either yields the
     split (SubdualWitness) or an odd cycle of constraints (Obstruction).
     """
+    _check_tol(tol)
     G = np.asarray(G, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise ValueError("Gram matrix must be square")
@@ -287,6 +289,7 @@ def sign_flip_search(K, tol=DEFAULT_TOL):
 
 def triple_obstruction(K, tol=DEFAULT_TOL):
     """Lexicographically first index triple with pairwise-negative Gram entries."""
+    _check_tol(tol)
     G = gram(K)
     m = G.shape[0]
     for i in range(m):
@@ -313,18 +316,19 @@ def certify_necessary(K, L, tol=DEFAULT_TOL):
     GK = generator_matrix(K)
     GL = generator_matrix(L)
     UL = facet_normals(L)
-    ULdual = facet_normals(dual(L))
 
     k_in_l = all(membership(L, GK[:, j], tol) for j in range(GK.shape[1]))
     l_in_k_dual = bool(np.min(GK.T @ GL) >= -tol)
 
-    # <g, x> > 0 for the generators g of K (strict interior of K*), <u, x> <= 0.
+    # x in int(K*): <g, x> > 0 on the generators g of K; in int(L): <u, x> < 0
+    # on the facet normals u of L; in int(L*): <v, x> > 0 on the generators v
+    # of L, which negated are the facet normals of L*.
     return ContainmentReport(
         k_in_l=k_in_l,
         l_in_k_dual=l_in_k_dual,
         k_subdual=check_subdual(K, tol),
         interior_kdual_l=_has_interior(np.vstack([GK.T, -UL])),
-        interior_kdual_ldual=_has_interior(np.vstack([GK.T, -ULdual])),
+        interior_kdual_ldual=_has_interior(np.vstack([GK.T, GL.T])),
     )
 
 
@@ -335,6 +339,7 @@ def orthant_isotone_recognize(K, tol=DEFAULT_TOL):
     touches two the entries must have opposite (or zero) signs; a cone in
     R^m then has at most m(m-1) facets.
     """
+    _check_tol(tol)
     U = facet_normals(K)
     m = K.dim
     offending = None

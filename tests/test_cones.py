@@ -158,6 +158,13 @@ class TestSignFlip:
             gram(sign_flip(K, eps)), D @ gram(K) @ D, atol=1e-12
         )
 
+    def test_column_sign_vector_rejected(self):
+        # A (2, 1) column would broadcast over the rows of the generator
+        # matrix and flip coordinates, not generators.
+        K = Simplicial(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        with pytest.raises(DimensionMismatchError):
+            sign_flip(K, np.array([[1.0], [-1.0]]))
+
 
 class TestGram:
     def test_identity(self):
@@ -244,8 +251,24 @@ class TestFacets:
                 assert membership(K, x) == via_facets
 
     def test_unsupported(self):
-        with pytest.raises(UnsupportedConeError):
+        # No generators of the dual, so no facets.
+        with pytest.raises(UnsupportedConeError,
+                           match="^facet enumeration unavailable for Lorentz$"):
             facets(Lorentz(3))
+        with pytest.raises(UnsupportedConeError,
+                           match="^facet enumeration unavailable for PolyhedralV$"):
+            facet_normals(PolyhedralV(2, np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])))
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_monotone_rows_exact(self, m):
+        # Dual generators e_i - e_{i+1} and e_m, facet normals their negation:
+        # every entry off that two-entry pattern is an exact zero.
+        K = MonotoneNonneg(m)
+        pattern = (np.eye(m) - np.eye(m, k=-1)) != 0
+        assert np.all(dual(K).columns[~pattern] == 0.0)
+        assert np.all(facet_normals(K)[~pattern.T] == 0.0)
+        np.testing.assert_array_equal(np.abs(facet_normals(K)[pattern.T]),
+                                      [1 / np.sqrt(2.0)] * (m - 1) * 2 + [1.0])
 
     def test_lorentz2(self):
         # The 2-dimensional Lorentz cone is simplicial: both representations exist.
@@ -448,8 +471,12 @@ def test_protocol_facets_nonpositive_on_generators(cone):
 @pytest.mark.parametrize("cone", _with(facet_normals))
 def test_protocol_facet_normals_are_the_familys_rows(cone):
     U = facet_normals(cone)
-    assert U.shape == cone._facet_normals.shape
-    assert U.tobytes() == cone._facet_normals.tobytes()
+    assert U is cone._facet_normals and U is facet_normals(cone)  # stored once
+    assert not U.flags.writeable
+    # One rule: the facet normals are the dual's generators, negated.
+    expected = -generator_matrix(dual(cone)).T
+    assert U.shape == expected.shape
+    assert U.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("cone", _with(generator_matrix))

@@ -8,6 +8,7 @@ import pytest
 from coneproj import (
     ContainmentReport,
     Counterexample,
+    DimensionMismatchError,
     FalsifierConfig,
     Lorentz,
     MonotoneNonneg,
@@ -90,6 +91,26 @@ class TestHyperplaneIsotone:
 
     def test_coordinate_flattening(self):
         assert hyperplane_isotone(Orthant(2), np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("u", [[[0.6, 0.8]], [0.6, 0.8, 0.0]], ids=["matrix", "size3"])
+    def test_u_must_be_a_vector_of_the_cone_dimension(self, u):
+        with pytest.raises(DimensionMismatchError):
+            hyperplane_isotone(Orthant(2), np.array(u))
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1e-9, np.inf], ids=["nan", "negative", "inf"])
+@pytest.mark.parametrize("check", [
+    # A NaN tol fails every comparison: the facet pattern of this cone has a
+    # 3-coordinate normal, and the triangle's Gram matrix no split.
+    lambda tol: orthant_isotone_recognize(PolyhedralH(3, -np.ones((1, 3))), tol),
+    lambda tol: sign_flip_search_gram(gram(triangle_cone()), tol),
+    lambda tol: triple_obstruction(triangle_cone(), tol),
+    lambda tol: check_subdual(triangle_cone(), tol),
+], ids=["orthant_isotone_recognize", "sign_flip_search_gram", "triple_obstruction",
+        "check_subdual"])
+def test_certifiers_reject_bad_tolerance(check, tol):
+    with pytest.raises(ValueError, match="tol"):
+        check(tol)
 
 
 class TestSubdual:
