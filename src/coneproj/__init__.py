@@ -2,9 +2,7 @@
 
 from .cones import (
     ConeFormatError,
-    ConeSpec,
     DimensionMismatchError,
-    Hyperplane,
     Lorentz,
     MonotoneNonneg,
     Orthant,
@@ -18,7 +16,6 @@ from .cones import (
     cone_to_dict,
     dual,
     facet_normals,
-    facets,
     generator_matrix,
     gram,
     is_proper,
@@ -28,7 +25,6 @@ from .cones import (
     sign_flip,
 )
 from .isotonic import (
-    Certificate,
     ContainmentReport,
     Counterexample,
     FalsifierConfig,
@@ -39,7 +35,6 @@ from .isotonic import (
     certify_necessary,
     check_subdual,
     falsify,
-    hyperplane_isotone,
     leq,
     orthant_isotone_recognize,
     sign_flip_search,
@@ -57,10 +52,8 @@ from .kernels import (
 from .projections import (
     NonConvergenceError,
     ProjectionResult,
-    boundary_ray_preimage_check,
     moreau,
     project,
-    project_hyperplane,
     project_oracle,
 )
 

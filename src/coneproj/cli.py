@@ -21,7 +21,8 @@ import click
 import numpy as np
 
 from . import isotonic
-from .cones import Simplicial, UnsupportedConeError, cone_to_dict, dual, load_cone, save_cone
+from .cones import (DimensionMismatchError, Simplicial, UnsupportedConeError, cone_to_dict,
+                    dual, is_proper, load_cone, save_cone)
 from .isotonic import FalsifierConfig, Obstruction
 from .kernels import IndeterminateError
 from .projections import NonConvergenceError, project
@@ -142,9 +143,14 @@ def cmd_certify(k_file, l_file, tol, out):
     """Run the structural necessary conditions for L-isotonicity of P_K."""
     def body(K, L):
         triple = isotonic.triple_obstruction(K, tol) if isinstance(K, Simplicial) else None
-        if triple is not None:
-            return _judge(Obstruction(cycle=triple), K, L, tol)
-        return _judge(isotonic.certify_necessary(K, L, tol), K, L, tol)
+        if triple is None:
+            return _judge(isotonic.certify_necessary(K, L, tol), K, L, tol)
+        # The triple reads K alone; L must still pass certify_necessary's input checks.
+        if K.dim != L.dim:
+            raise DimensionMismatchError("K and L dimensions disagree")
+        if not is_proper(L):
+            raise ValueError("certify_necessary requires proper cones")
+        return _judge(Obstruction(cycle=triple), K, L, tol)
     _run("certify", [k_file, l_file], out, body)
 
 

@@ -51,19 +51,13 @@ class DimensionMismatchError(ValueError):
     """Vector dimension does not match the cone dimension."""
 
 
-def _finite(M, what):
-    """A float copy of M; ConeFormatError if an entry is NaN or infinite."""
+def _unit(M, axis, what):
+    """The vectors of M along `axis` scaled to unit length by _norms, as a
+    read-only copy; ConeFormatError on non-finite entries or a zero vector.
+    A vector within 1e-12 of unit length keeps its bits."""
     M = np.array(M, dtype=float)
     if not np.isfinite(M).all():
         raise ConeFormatError(f"{what} entries must be finite")
-    return M
-
-
-def _unit(M, axis, what):
-    """The vectors of M along `axis` (None: M is one) scaled to unit length by
-    _norms, read-only; ConeFormatError on non-finite entries or a zero vector.
-    A vector within 1e-12 of unit length keeps its bits."""
-    M = _finite(M, what)
     n = _norms(M, axis=axis)
     if not n.all():
         raise ConeFormatError(f"zero {what}")
@@ -84,25 +78,6 @@ def _read_only(M):
     """M, made read-only: a cone hands out its stored arrays without a copy."""
     M.flags.writeable = False
     return M
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """Hyperplane {x : <normal, x> = <normal, anchor>} with a unit normal."""
-
-    normal: np.ndarray
-    anchor: np.ndarray
-
-    def __post_init__(self):
-        if np.ndim(self.normal) != 1 or np.shape(self.anchor) != np.shape(self.normal):
-            raise ConeFormatError("hyperplane normal and anchor must be vectors of one size")
-        # Both copies: the caller's arrays stay writeable.
-        object.__setattr__(self, "normal", _unit(self.normal, None, "hyperplane normal"))
-        object.__setattr__(self, "anchor", _read_only(_finite(self.anchor, "hyperplane anchor")))
-
-    @property
-    def dim(self):
-        return self.normal.size
 
 
 class _Cone:
@@ -467,7 +442,8 @@ class MonotoneNonneg(_Cone):
 
     @cached_property
     def _generators(self):
-        return monotone_generators(self.dim)
+        # Columns (1, 0, ..), (1, 1, 0, ..), ...
+        return _unit(np.triu(np.ones((self.dim, self.dim))), 0, "generator")
 
     def _solve_rows(self, X):
         return np.maximum(_isotonic_rows(X), 0.0), None, None
@@ -480,12 +456,6 @@ class MonotoneNonneg(_Cone):
         # x_i - x_{i+1} >= 0 for i < m, and x_m >= 0: generators e_i - e_{i+1} and e_m.
         m = self.dim
         return Simplicial(columns=np.eye(m) - np.eye(m, k=-1))
-
-
-ConeSpec = (
-    Orthant | SignedOrthant | Simplicial | PolyhedralH | PolyhedralV
-    | Lorentz | MonotoneNonneg
-)
 
 
 def _check_dim(cone, x):
@@ -505,11 +475,6 @@ def _check_tol(tol):
     """ValueError unless 0 <= tol < inf: a NaN tol would fail every comparison."""
     if not 0 <= tol < math.inf:
         raise ValueError("tol must be finite and nonnegative")
-
-
-def monotone_generators(m):
-    """Generators of the monotone nonnegative cone: columns (1,0,..), (1,1,0,..), ..."""
-    return _unit(np.triu(np.ones((m, m))), 0, "generator")
 
 
 def generator_matrix(cone):
@@ -583,12 +548,6 @@ def facet_normals(cone):
     cone's own array, read-only; UnsupportedConeError when the dual has no
     generators (generator cones, Lorentz cones above dimension 2)."""
     return cone._facet_normals
-
-
-def facets(cone):
-    """The facet hyperplanes through 0 with the normals of facet_normals()."""
-    zero = np.zeros(cone.dim)
-    return [Hyperplane(normal=u, anchor=zero) for u in facet_normals(cone)]
 
 
 # ---------------------------------------------------------------------------

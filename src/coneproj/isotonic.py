@@ -180,9 +180,6 @@ class FalsifierConfig:
         object.__setattr__(self, "seed", int(self.seed))
 
 
-Certificate = SubdualWitness | Obstruction | ContainmentReport | Counterexample
-
-
 def leq(L, x, y, tol=DEFAULT_TOL):
     """Order test x <=_L y, i.e. y - x in L."""
     x = np.asarray(x, dtype=float)
@@ -190,22 +187,6 @@ def leq(L, x, y, tol=DEFAULT_TOL):
     if x.shape != y.shape:
         raise DimensionMismatchError("x and y dimensions disagree")
     return membership(L, y - x, tol)
-
-
-def hyperplane_isotone(K, u, tol=DEFAULT_TOL):
-    """True iff projection onto the hyperplane through 0 with normal u maps K into K.
-
-    Checked on the generators, which suffices by linearity and convexity.
-    Hyperplanes with nonzero anchor reduce to the same test because the
-    ordering is translation invariant.
-    """
-    u = _check_dim(K, u)
-    nu = float(np.linalg.norm(u))
-    if abs(nu - 1.0) > 1e-9:
-        raise ValueError("u must be unit length")
-    V = generator_matrix(K)
-    W = V - np.outer(u, u @ V)
-    return all(membership(K, W[:, j], tol) for j in range(V.shape[1]))
 
 
 def check_subdual(K, tol=DEFAULT_TOL):
@@ -498,6 +479,7 @@ def verify_certificate(cert, K, L=None, tol=DEFAULT_TOL):
     """Independently re-check a certificate by its own check; False on any failure."""
     check = getattr(cert, "_verify", None)
     try:
+        _check_tol(tol)
         return check is not None and check(K, L, tol)
     except (ValueError, UnsupportedConeError, IndeterminateError):
         return False

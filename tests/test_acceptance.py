@@ -22,21 +22,21 @@ from coneproj import (
     dual,
     facet_normals,
     falsify,
+    generator_matrix,
     moreau,
     orthant_isotone_recognize,
     pava,
     project,
     project_oracle,
-    boundary_ray_preimage_check,
     sign_flip,
     sign_flip_search,
     sign_flip_search_gram,
     triple_obstruction,
     verify_certificate,
 )
-from coneproj.cones import monotone_generators
 from coneproj.isotonic import SubdualWitness
 from conftest import random_orthant_isotone_cone, random_simplicial
+from lemmas import boundary_ray_preimage_check
 
 
 @contextmanager
@@ -138,7 +138,7 @@ def test_criterion_3_pava_consistency():
             assert np.max(np.abs(p - project_oracle(MonotoneNonneg(m), y))) <= 1e-8
         for i in range(100):
             m = 5 + (i * 45) // 100  # m in 5..49
-            K = Simplicial(monotone_generators(m))
+            K = Simplicial(generator_matrix(MonotoneNonneg(m)))
             y = 10.0 * rng.standard_normal(m)
             p = np.maximum(pava(y), 0.0)
             assert np.max(np.abs(p - project(K, y).point)) <= 1e-8

@@ -43,6 +43,11 @@ def lorentz3(tmp_path):
     return write_cone(tmp_path, "lorentz3.json", {"type": "lorentz", "dim": 3})
 
 
+# Pairwise-obtuse generators: Gram off-diagonals -0.4.
+_G = np.eye(3) - 0.4 * (np.ones((3, 3)) - np.eye(3))
+TRIANGLE = {"type": "simplicial", "columns": np.linalg.cholesky(_G).tolist()}
+
+
 def report_of(result):
     return json.loads(result.output)
 
@@ -129,15 +134,25 @@ class TestCertify:
         assert report_of(result)["verdict"] == "refuted"
 
     def test_triangle_fast_path(self, runner, tmp_path, orthant3):
-        G = np.eye(3) - 0.4 * (np.ones((3, 3)) - np.eye(3))
-        E = np.linalg.cholesky(G).T
-        cone = write_cone(
-            tmp_path, "triangle.json",
-            {"type": "simplicial", "columns": E.T.tolist()},
-        )
+        cone = write_cone(tmp_path, "triangle.json", TRIANGLE)
         result = runner.invoke(main, ["certify", cone, orthant3])
         assert result.exit_code == 1
         assert report_of(result)["certificate"]["kind"] == "obstruction"
+
+    @pytest.mark.parametrize("k_data, l_data, message", [
+        (TRIANGLE, {"type": "orthant", "dim": 5}, "K and L dimensions disagree"),
+        # e1 and -e1 both generate it: not pointed.
+        (TRIANGLE, {"type": "generators", "dim": 3,
+                    "generators": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+         "certify_necessary requires proper cones"),
+        ({"type": "orthant", "dim": 3}, {"type": "orthant", "dim": 5}, "vector of size 3"),
+    ], ids=["triangle-dim-mismatch", "triangle-improper", "orthant-dim-mismatch"])
+    def test_unusable_l_exits_3(self, runner, tmp_path, k_data, l_data, message):
+        # The triangle's triple obstruction reads K alone; L is checked all the same.
+        K = write_cone(tmp_path, "k.json", k_data)
+        result = runner.invoke(main, ["certify", K, write_cone(tmp_path, "l.json", l_data)])
+        assert result.exit_code == 3
+        assert message in result.output
 
     def test_thin_cones_are_proper(self, runner, tmp_path, orthant2):
         # |x1| <= 1e-3 x2 is proper.  In halfspace form certify stops at the

@@ -6,7 +6,6 @@ import pytest
 from coneproj import (
     ConeFormatError,
     DimensionMismatchError,
-    Hyperplane,
     Lorentz,
     MonotoneNonneg,
     Orthant,
@@ -19,7 +18,6 @@ from coneproj import (
     cone_to_dict,
     dual,
     facet_normals,
-    facets,
     generator_matrix,
     gram,
     is_proper,
@@ -254,7 +252,7 @@ class TestFacets:
         # No generators of the dual, so no facets.
         with pytest.raises(UnsupportedConeError,
                            match="^facet enumeration unavailable for Lorentz$"):
-            facets(Lorentz(3))
+            facet_normals(Lorentz(3))
         with pytest.raises(UnsupportedConeError,
                            match="^facet enumeration unavailable for PolyhedralV$"):
             facet_normals(PolyhedralV(2, np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])))
@@ -277,7 +275,6 @@ class TestFacets:
         assert np.max(prods) <= 1e-12
         for row in prods:
             assert np.sum(np.abs(row) < 1e-10) == 1
-        assert same_generator_sets(np.array([h.normal for h in facets(Lorentz(2))]).T, U.T)
 
 
 class TestStoredArraysReadOnly:
@@ -404,7 +401,7 @@ class TestValidation:
         assert np.array_equal(Simplicial(scale * eye).columns, eye)
         assert np.array_equal(PolyhedralH(2, -scale * eye).normals, -eye)
         assert np.array_equal(PolyhedralV(2, scale * eye).generators, eye)
-        normal = Hyperplane(scale * np.array([3.0, 4.0]), np.zeros(2)).normal
+        normal = PolyhedralH(2, scale * np.array([[3.0, 4.0]])).normals[0]
         np.testing.assert_allclose(normal, [0.6, 0.8], rtol=1e-15)
         assert is_proper(PolyhedralH(2, -scale * eye))
         assert is_proper(PolyhedralV(2, scale * eye))
@@ -413,9 +410,7 @@ class TestValidation:
     @pytest.mark.parametrize("build", [
         lambda v: PolyhedralH(2, np.array([[v, 1.0], [1.0, -1.0]])),
         lambda v: PolyhedralV(2, np.array([[1.0, v], [0.0, 1.0]])),
-        lambda v: Hyperplane(np.array([v, 1.0]), np.zeros(2)),
-        lambda v: Hyperplane(np.array([0.0, 1.0]), np.array([v, 0.0])),
-    ], ids=["halfspace-normal", "generator", "hyperplane-normal", "hyperplane-anchor"])
+    ], ids=["halfspace-normal", "generator"])
     def test_non_finite_vectors_rejected(self, build, bad):
         with pytest.raises(ConeFormatError, match="finite"):
             build(bad)

@@ -26,8 +26,8 @@ from coneproj import (
     cone_margin,
     dual,
     falsify,
+    generator_matrix,
     gram,
-    hyperplane_isotone,
     leq,
     lp_feasible,
     membership,
@@ -40,6 +40,7 @@ from coneproj import (
 )
 from coneproj import cones, isotonic, kernels
 from conftest import random_orthant_isotone_cone, random_simplicial, ring_cone
+from lemmas import hyperplane_isotone
 
 SQ2 = np.sqrt(2.0)
 
@@ -227,6 +228,22 @@ class TestCertifyNecessary:
     def test_certificate_round_trip(self):
         rep = certify_necessary(Orthant(2), Lorentz(2))
         assert verify_certificate(rep, Orthant(2), Lorentz(2))
+
+    @pytest.mark.parametrize("E", [
+        -np.eye(3),
+        np.diag([-1.0, -1.0, 1.0]),
+        -triangle_cone().columns,
+        -dual(triangle_cone()).columns,
+    ], ids=["minus-orthant", "reflected-orthant", "minus-triangle", "minus-triangle-dual"])
+    def test_triangle_where_containment_is_silent(self, E):
+        # int(K*) meets neither int(L) nor int(L*): the report refutes
+        # nothing, so the falsifier's counterexample carries the verdict.
+        K, L = triangle_cone(), Simplicial(E)
+        rep = certify_necessary(K, L)
+        assert not rep.interior_kdual_l and not rep.interior_kdual_ldual
+        assert not rep.refuted
+        cex = falsify(K, L, FalsifierConfig(trials=1000, seed=42))
+        assert cex is not None and verify_certificate(cex, K, L)
 
 
 class TestOrthantIsotoneRecognize:
@@ -489,7 +506,7 @@ SCHEDULE_PAIRS = [
                  2, id="lorentz-refuted"),
     pytest.param(rotated_orthant(4, 4), rotated_orthant(4, 4), 600, 4, None, id="rotated-held"),
     pytest.param(rotated_orthant(3, 3), Lorentz(3), 600, 6, 5, id="rotated-refuted"),
-    pytest.param(Simplicial(cones.monotone_generators(3)), Orthant(3), 300, 5, None,
+    pytest.param(Simplicial(generator_matrix(MonotoneNonneg(3))), Orthant(3), 300, 5, None,
                  id="nnls-held"),
     pytest.param(triangle_cone(), dual(Simplicial(np.random.default_rng(5).standard_normal((3, 3)))),
                  300, 2, 4, id="triangle-refuted"),
@@ -658,6 +675,24 @@ class TestVerifyCertificate:
     def test_containment_report_needs_l(self):
         rep = certify_necessary(Orthant(2), Lorentz(2))
         assert not verify_certificate(rep, Orthant(2))
+
+    @pytest.mark.parametrize("tol", [np.nan, -1e-9, np.inf], ids=["nan", "negative", "inf"])
+    def test_bad_tol_fails_every_kind(self, tol):
+        triangle = triangle_cone()
+        cases = [
+            (sign_flip_search(Orthant(3)), Orthant(3), None),
+            (Obstruction(cycle=(0, 1, 2)), triangle, None),
+            (certify_necessary(Orthant(2), Lorentz(2)), Orthant(2), Lorentz(2)),
+            (falsify(Orthant(2), Lorentz(2), FalsifierConfig(trials=1000, seed=42)),
+             Orthant(2), Lorentz(2)),
+        ]
+        for cert, K, L in cases:
+            assert verify_certificate(cert, K, L)
+            assert not verify_certificate(cert, K, L, tol)
+        # The triangle's Gram entries are -0.4 off the diagonal: only an
+        # infinite tol would pass this witness.
+        witness = SubdualWitness(epsilon=np.ones(3), index_set=frozenset({0, 1, 2}))
+        assert not verify_certificate(witness, triangle, tol=tol)
 
     @pytest.mark.parametrize("cert", [None, "obstruction"])
     def test_not_a_certificate(self, cert):

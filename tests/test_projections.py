@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from coneproj import (
-    ConeFormatError,
     DimensionMismatchError,
-    Hyperplane,
     Lorentz,
     MonotoneNonneg,
     NonConvergenceError,
@@ -19,18 +17,18 @@ from coneproj import (
     SignedOrthant,
     Simplicial,
     UnsupportedConeError,
-    boundary_ray_preimage_check,
     cone_margin,
     dual,
+    generator_matrix,
     membership,
     moreau,
     pava,
     project,
-    project_hyperplane,
     project_oracle,
 )
 from coneproj import cones, isotonic, kernels
 from conftest import random_simplicial, ring_cone
+from lemmas import boundary_ray_preimage_check
 
 
 def lorentz_qp_reference(x):
@@ -478,53 +476,62 @@ class TestMoreau:
                 assert abs(float(p @ q)) < 1e-9 * (1 + float(x @ x))
 
 
-class TestHyperplane:
-    def test_flatten(self):
-        h = Hyperplane(np.array([0.0, 1.0]), np.zeros(2))
-        np.testing.assert_allclose(project_hyperplane(h, np.array([3.0, 4.0])), [3.0, 0.0])
+# Metamorphic relations, on random cones of every family.
+FAMILIES = ["orthant", "signed_orthant", "simplicial", "halfspaces", "generators", "lorentz",
+            "monotone_nonneg"]
 
-    def test_member_fixed(self):
-        h = Hyperplane(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
-        x = np.array([0.5, 0.5])
-        np.testing.assert_allclose(project_hyperplane(h, x), x, atol=1e-12)
 
-    def test_copies_its_arrays(self):
-        u = np.array([1.0, 0.0])  # already unit length
-        a = np.zeros(2)
-        h = Hyperplane(u, a)
-        u[:] = [0.0, 1.0]  # the caller's arrays stay writeable
-        a[0] = 5.0
-        assert h.normal.tolist() == [1.0, 0.0] and h.anchor.tolist() == [0.0, 0.0]
-        np.testing.assert_array_equal(project_hyperplane(h, np.array([1.0, 1.0])), [0.0, 1.0])
-        with pytest.raises(ValueError):
-            h.normal[0] = 0.0
-        with pytest.raises(ValueError):
-            h.anchor[0] = 1.0
+def random_cone(family, rng, m):
+    k = int(rng.integers(1, 2 * m + 1))  # normals or generators of a polyhedral cone
+    return {
+        "orthant": lambda: Orthant(m),
+        "signed_orthant": lambda: SignedOrthant(rng.choice([-1.0, 1.0], m)),
+        "simplicial": lambda: random_simplicial(rng, m),
+        "halfspaces": lambda: PolyhedralH(m, rng.standard_normal((k, m))),
+        "generators": lambda: PolyhedralV(m, rng.standard_normal((m, k))),
+        "lorentz": lambda: Lorentz(m),
+        "monotone_nonneg": lambda: MonotoneNonneg(m),
+    }[family]()
 
-    def test_bad_point_rejected(self):
-        h = Hyperplane(np.array([1.0, 1.0]), np.zeros(2))
-        assert h.dim == 2
-        with pytest.raises(ValueError, match="finite"):
-            project_hyperplane(h, [np.nan, 1.0])
-        with pytest.raises(DimensionMismatchError):
-            project_hyperplane(h, [1.0, 2.0, 3.0])
 
-    @pytest.mark.parametrize("normal, anchor", [
-        (np.eye(2), np.zeros(2)),
-        (np.ones(2), np.zeros(3)),
-        (np.ones(2), np.zeros((2, 1))),
-        (np.float64(1.0), np.float64(0.0)),
-    ], ids=["matrix-normal", "longer-anchor", "column-anchor", "scalars"])
-    def test_malformed_hyperplane_rejected(self, normal, anchor):
-        with pytest.raises(ConeFormatError, match="vectors of one size"):
-            Hyperplane(normal, anchor)
+def rotated(K, Q):
+    """The image QK of K under the orthogonal Q, in a family the library has."""
+    if isinstance(K, PolyhedralH):
+        return PolyhedralH(K.dim, K.normals @ Q.T)
+    if isinstance(K, PolyhedralV):
+        return PolyhedralV(K.dim, Q @ K.generators)
+    return Simplicial(Q @ generator_matrix(K))  # an orthant or a simplicial cone
 
-    def test_idempotent(self, rng):
-        h = Hyperplane(rng.standard_normal(4), rng.standard_normal(4))
-        for _ in range(20):
-            x = rng.standard_normal(4)
-            p = project_hyperplane(h, x)
-            np.testing.assert_allclose(project_hyperplane(h, p), p, atol=1e-12)
+
+# Subnormal entries are left out: Q x rounds them to whole multiples of 5e-324.
+POINTS = st.lists(st.floats(-1e3, 1e3, allow_subnormal=False), min_size=5, max_size=5)
+
+
+class TestMetamorphic:
+    @given(family=st.sampled_from(["orthant", "simplicial", "halfspaces", "generators"]),
+           seed=st.integers(0, 2**32 - 1), m=st.integers(2, 5), x=POINTS)
+    @settings(max_examples=1000, deadline=None)
+    def test_rotation_equivariance(self, family, seed, m, x):
+        # P_{QK}(Q x) = Q P_K(x) for every orthogonal Q.
+        rng = np.random.default_rng(seed)
+        K = random_cone(family, rng, m)
+        Q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        x = np.asarray(x[:m])
+        s = np.max(np.abs(x)) or 1.0
+        err = project(rotated(K, Q), Q @ x).point - Q @ project(K, x).point
+        assert np.max(np.abs(err)) <= 1e-9 * s
+
+    @given(family=st.sampled_from(FAMILIES), seed=st.integers(0, 2**32 - 1),
+           m=st.integers(2, 5), x=POINTS)
+    @settings(max_examples=1000, deadline=None)
+    def test_moreau_identity(self, family, seed, m, x):
+        # x = p - q with p = P_K(x) and q = P_{K*}(-x) orthogonal, each by its own route.
+        K = random_cone(family, np.random.default_rng(seed), m)
+        x = np.asarray(x[:m])
+        s = np.max(np.abs(x)) or 1.0
+        p, q = moreau(K, x)
+        assert np.max(np.abs(x - (p - q))) <= 1e-9 * s
+        assert abs(float((p / s) @ (q / s))) <= 1e-9
 
 
 class TestInvariants:
