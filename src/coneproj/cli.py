@@ -196,18 +196,15 @@ def cmd_recognize(k_file, tol, out):
     """Decide whether the cone is isotone for the coordinatewise order."""
     def body(K):
         rep = isotonic.orthant_isotone_recognize(K, tol)
-        fields = {"facet_count": rep.facet_count}
-        if rep.offending_normal is not None:
-            fields["offending_normal"] = rep.offending_normal.tolist()
-        if not rep.isotone:
-            return "refuted", EXIT_REFUTED, fields
-        try:
-            in_orthant, interior_disjoint = isotonic.alternatives_check(K, tol)
-            fields["alternatives"] = {"in_orthant": in_orthant,
-                                      "interior_disjoint": interior_disjoint}
-        except ValueError:
-            pass  # no generator form; the verdict stands on the facet pattern
-        return "certified", EXIT_OK, fields
+        fields = {}
+        if rep.isotone:
+            try:
+                in_orthant, interior_disjoint = isotonic.alternatives_check(K, tol)
+                fields["alternatives"] = {"in_orthant": in_orthant,
+                                          "interior_disjoint": interior_disjoint}
+            except ValueError:
+                pass  # no generator form; the verdict stands on the facet pattern
+        return _judge(rep, K, None, tol, ("certified", EXIT_OK), **fields)
     _run("recognize-orthant-isotone", [k_file], out, body)
 
 

@@ -25,6 +25,7 @@ from scipy.special import ndtri
 from .kernels import (
     EPS,
     IndeterminateError,
+    NNLS_RTOL,
     RANK_RTOL,
     _has_interior,
     _isotonic_rows,
@@ -338,8 +339,19 @@ class PolyhedralH(_Cone):
         return _has_interior(-U)  # <u, x> < 0
 
     def _directions(self, scale):
-        # d = P_L(scale * ndtri(u)): a projection lands in the cone, however thin.
-        return self.dim, lambda u: self._solve_rows(scale * ndtri(u))[0]
+        # d = P_L(z), z = scale * ndtri(u): a projection lands in the cone,
+        # however thin.  For z in the polar cone P_L(z) is the solver's noise,
+        # below NNLS_RTOL ||z||, and the trial would test nothing; such rows
+        # take P_L(-z), which is 0 too only for z orthogonal to the span of L.
+        def directions(u):
+            z = scale * ndtri(u)
+            d = self._solve_rows(z)[0]
+            lost = _row_norms(d) < NNLS_RTOL * _row_norms(z)
+            if lost.any():
+                d[lost] = self._solve_rows(-z[lost])[0]
+            return d
+
+        return self.dim, directions
 
 
 @dataclass(frozen=True)

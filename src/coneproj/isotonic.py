@@ -159,9 +159,42 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class OrthantIsotoneReport:
+    """Facet pattern verdict of orthant_isotone_recognize."""
+
     isotone: bool
     offending_normal: np.ndarray | None
     facet_count: int
+
+    @property
+    def refuted(self):
+        return not self.isotone
+
+    def _verify(self, K, L, tol):
+        """Re-derive the verdict from facet_normals(K) by counting every
+        normal's support and sign product at once, not by the recognizer's
+        scan: a refutation needs an offending row of K or more than m(m-1)
+        facets."""
+        U = facet_normals(K)
+        if self.facet_count != len(U):
+            return False
+        big = np.abs(U) > tol
+        support = big.sum(axis=1)
+        # Over a support {a, b} the product is u_a * u_b, rounded once.
+        same_sign = np.where(big, U, 1.0).prod(axis=1) > tol * tol
+        bad = (support > 2) | ((support == 2) & same_sign)
+        if self.offending_normal is None:
+            m = K.dim
+            return not bad.any() and self.isotone == (len(U) <= m * (m - 1))
+        return not self.isotone and bool((U[bad] == self.offending_normal).all(axis=1).any())
+
+    def _to_json(self):
+        u = self.offending_normal
+        return {
+            "kind": "orthant_isotone_report",
+            "isotone": self.isotone,
+            "offending_normal": None if u is None else u.tolist(),
+            "facet_count": self.facet_count,
+        }
 
 
 @dataclass(frozen=True)
@@ -211,18 +244,20 @@ def sign_flip_search_gram(G, tol=DEFAULT_TOL):
     m = G.shape[0]
     # parity 0: same side, parity 1: opposite sides
     adj = [[] for _ in range(m)]
-    for i in range(m):
+    # Python floats compare as the float64 entries do, without a numpy scalar per entry.
+    for i, row in enumerate(G.tolist()):
         for j in range(i + 1, m):
-            if G[i, j] > tol:
+            g = row[j]
+            if g > tol:
                 adj[i].append((j, 0))
                 adj[j].append((i, 0))
-            elif G[i, j] < -tol:
+            elif g < -tol:
                 adj[i].append((j, 1))
                 adj[j].append((i, 1))
 
-    color = np.full(m, -1, dtype=int)
-    parent = np.full(m, -1, dtype=int)
-    depth = np.zeros(m, dtype=int)
+    color = [-1] * m
+    parent = [-1] * m
+    depth = [0] * m
     for start in range(m):
         if color[start] != -1:
             continue
@@ -239,8 +274,8 @@ def sign_flip_search_gram(G, tol=DEFAULT_TOL):
                     queue.append(j)
                 elif color[j] != expected:
                     return Obstruction(cycle=_bfs_cycle(parent, depth, i, j))
-    index_set = frozenset(np.flatnonzero(color == 0).tolist())
-    eps = np.where(color == 0, 1.0, -1.0)
+    index_set = frozenset(i for i, c in enumerate(color) if c == 0)
+    eps = np.array([1.0 if c == 0 else -1.0 for c in color])
     return SubdualWitness(epsilon=eps, index_set=index_set)
 
 
@@ -431,7 +466,7 @@ def falsify(K, L, cfg=FalsifierConfig()):
     is set once per call and each block reads on where the last one ended.
     A violation counts only if its pair passes the order test of
     verify_certificate: rounding fails it for a direction far below the
-    scale of x, as a halfspace order's projection of a draw in its polar.
+    scale of x.
     Returns None when no violation shows up within the budget; absence of a
     counterexample proves nothing.  Raises NonConvergenceError
     (IndeterminateError for the margin of L) at the first trial whose solve

@@ -55,14 +55,70 @@ class LpResult:
     margin: float  # the witness's common slack; NaN unless feasible
 
 
-def _rows_times(X, M):
-    """X @ M for a (B, n) array X, computed row by row.
+# Rows of the blocks _block_rows_agree compares with their one-row products:
+# the falsifier's blocks are up to 512 trials, and its x and y rows twice that.
+PROBE_ROWS = 32
+PROBE_BLOCKS = (2, 3, 5, 8, 17, 33, 64, 512, 1024)
 
-    matmul over the stack of (1, n) rows makes the same BLAS call for every
-    row, so row i of the result depends on row i of X alone, bit for bit,
-    whatever B is.  A single (B, n) @ (n, k) product picks its kernel by
-    shape, and a row can round differently in a block of another size.
+# _block_rows_agree's verdict for each (n, k, M in C order) that _rows_times
+# has met in this process.  Two threads probing one key store the same verdict.
+_block_verdicts = {}
+
+
+def _block_times(X, M):
+    """X @ M as one BLAS product, for a C-contiguous (B, n) array X, through
+    ndarray.dot, which costs less per call than matmul.  A single row is
+    doubled and its copy dropped: a one-row product goes to gemv, which
+    rounds differently from the gemm that serves blocks."""
+    if len(X) == 1:
+        return X.repeat(2, axis=0).dot(M)[:1]
+    return X.dot(M)
+
+
+def _block_rows_agree(n, k, c_order):
+    """Whether every row of _block_times comes out as in its own one-row call,
+    on seeded data with an (n, k) matrix in C (or else F) order.
+
+    PROBE_ROWS rows with norms from 1e-3 to 1e3 are multiplied one at a time;
+    then blocks of PROBE_BLOCKS rows, tiled from the same rows at shifted
+    offsets, must give those products bit for bit.  About 0.1-0.5 ms a shape.
+    Evidence, not proof: a BLAS may pick another kernel for a block size,
+    offset or thread count not tried here.
     """
+    rng = np.random.default_rng(20160)
+    M = rng.standard_normal((n, k))
+    if not c_order:
+        M = np.asfortranarray(M)
+    X = rng.standard_normal((PROBE_ROWS, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (PROBE_ROWS, 1))
+    one = np.concatenate([_block_times(x[None, :], M) for x in X])
+    reps = -(-(PROBE_ROWS + max(PROBE_BLOCKS)) // PROBE_ROWS)
+    X, one = np.tile(X, (reps, 1)), np.tile(one, (reps, 1))
+    return all(_block_times(X[i:i + b], M).tobytes() == one[i:i + b].tobytes()
+               for i, b in enumerate(PROBE_BLOCKS))
+
+
+def _rows_times(X, M):
+    """X @ M for a (B, n) array X and an (n, k) array M in C or F order, row
+    i of the result depending on row i of X alone, bit for bit, whatever B is.
+
+    A (B, n) @ (n, k) product picks its BLAS kernel by shape, and on some
+    kernels a row rounds differently in a block of another size (OpenBLAS's
+    generic one, OPENBLAS_CORETYPE=Prescott, does).  So the first use of each
+    shape and order of M probes the running BLAS (_block_rows_agree).  Where
+    it passes, the whole block is one product (_block_times); elsewhere
+    matmul over the stack of (1, n) rows makes the same BLAS call for every
+    row.  The probe is evidence, not proof that the BLAS keeps rows
+    independent at every size.
+    """
+    key = (*M.shape, M.flags.c_contiguous)
+    try:
+        block = _block_verdicts[key]
+    except KeyError:
+        block = _block_verdicts[key] = _block_rows_agree(*key)
+    if block:
+        # The probe's layout for every X: a strided or F-order X would reach
+        # BLAS by another route.
+        return _block_times(np.ascontiguousarray(X), M)
     return np.matmul(X[:, None, :], M)[:, 0, :]
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coneproj import ConeFormatError, PolyhedralH, Simplicial
+from coneproj import ConeFormatError, PolyhedralH, Simplicial, kernels
 
 
 def random_simplicial(rng, m, min_sv=1e-3):
@@ -68,3 +68,27 @@ def same_generator_sets(A, B, tol=1e-9):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+class ForcedVerdicts(dict):
+    """kernels._block_verdicts with every verdict forced to `block`.  Forcing
+    the block path on a shape whose probe fails on the running BLAS skips the
+    test: the library never multiplies that shape by block there."""
+
+    def __init__(self, block):
+        super().__init__()
+        self.block = block
+
+    def __missing__(self, key):
+        if self.block and not kernels._block_rows_agree(*key):
+            pytest.skip(f"the probe refuses (n, k, C order) = {key} on this BLAS")
+        self[key] = self.block
+        return self.block
+
+
+@pytest.fixture(params=["block", "loop"])
+def forced_path(request, monkeypatch):
+    """kernels._rows_times forced to one BLAS product per block, or to the
+    per-row loop."""
+    monkeypatch.setattr(kernels, "_block_verdicts", ForcedVerdicts(request.param == "block"))
+    return request.param

@@ -255,6 +255,8 @@ class TestRecognize:
         rep = report_of(result)
         assert rep["verdict"] == "certified"
         assert rep["alternatives"] == {"in_orthant": True, "interior_disjoint": False}
+        assert rep["certificate"] == {"kind": "orthant_isotone_report", "isotone": True,
+                                      "offending_normal": None, "facet_count": 3}
 
     def test_orthant(self, runner, orthant3):
         result = runner.invoke(main, ["recognize-orthant-isotone", orthant3])
@@ -272,7 +274,10 @@ class TestRecognize:
         )
         result = runner.invoke(main, ["recognize-orthant-isotone", cone])
         assert result.exit_code == 1
-        assert report_of(result)["verdict"] == "refuted"
+        rep = report_of(result)
+        assert rep["verdict"] == "refuted"
+        assert rep["certificate"] == {"kind": "orthant_isotone_report", "isotone": False,
+                                      "offending_normal": [s, s, -s], "facet_count": 2}
 
     def test_lorentz_unsupported(self, runner, lorentz3):
         result = runner.invoke(main, ["recognize-orthant-isotone", lorentz3])
@@ -390,6 +395,8 @@ ERROR_EXITS = [
     pytest.param(["sign-flip", "identity"], _fail_verification, 2, id="sign-flip-unverified"),
     pytest.param(["falsify", "orthant2", "lorentz2"], _fail_verification, 2,
                  id="falsify-unverified"),
+    pytest.param(["recognize-orthant-isotone", "orthant3"], _fail_verification, 2,
+                 id="recognize-unverified"),
     *[pytest.param([*args, "--tol", tol], None, 3, id=f"{args[0]}-tol-{tol}")
       for args in (["certify", "orthant3", "orthant3"], ["sign-flip", "identity"],
                    ["falsify", "orthant2", "lorentz2"], ["recognize-orthant-isotone", "orthant3"])

@@ -4,6 +4,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from coneproj import (
     ContainmentReport,
@@ -25,6 +26,7 @@ from coneproj import (
     check_subdual,
     cone_margin,
     dual,
+    facet_normals,
     falsify,
     generator_matrix,
     gram,
@@ -279,6 +281,43 @@ class TestOrthantIsotoneRecognize:
             K = random_orthant_isotone_cone(rng, int(rng.integers(2, 6)))
             assert orthant_isotone_recognize(K).isotone
 
+    # A same-sign pair, three nonzero entries, and seven normals in R^3,
+    # more than m(m - 1) = 6, each of which alone passes.
+    REFUTED = {
+        "same-sign-pair": PolyhedralH(2, np.array([[1.0, 1.0], [0.0, -1.0]])),
+        "three-nonzero": PolyhedralH(3, np.array([[1.0, 1.0, -1.0], [0.0, 0.0, -1.0]])),
+        "too-many-facets": PolyhedralH(3, np.array([
+            [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, -1.0, 0.0],
+            [1.0, -2.0, 0.0], [0.0, 1.0, -1.0], [-1.0, 0.0, 2.0]])),
+    }
+
+    @pytest.mark.parametrize("K", [MonotoneNonneg(3), Orthant(4), Lorentz(2), *REFUTED.values()],
+                             ids=["monotone", "orthant", "lorentz2", *REFUTED])
+    def test_report_verifies(self, K):
+        rep = orthant_isotone_recognize(K)
+        assert verify_certificate(rep, K)
+        assert rep._to_json()["isotone"] == rep.isotone != rep.refuted
+
+    def test_too_many_facets_has_no_offending_normal(self):
+        rep = orthant_isotone_recognize(self.REFUTED["too-many-facets"])
+        assert (rep.isotone, rep.offending_normal, rep.facet_count) == (False, None, 7)
+
+    def test_tampered_reports_fail(self):
+        K = self.REFUTED["three-nonzero"]
+        rep = orthant_isotone_recognize(K)
+        good = facet_normals(K)[1]
+        for tampered in (replace(rep, isotone=True, offending_normal=None),
+                         replace(rep, offending_normal=None),
+                         replace(rep, offending_normal=good),
+                         replace(rep, offending_normal=-rep.offending_normal),
+                         replace(rep, facet_count=3)):
+            assert not verify_certificate(tampered, K)
+        rep = orthant_isotone_recognize(Orthant(4))
+        for tampered in (replace(rep, isotone=False),
+                         replace(rep, isotone=False, offending_normal=facet_normals(Orthant(4))[0]),
+                         replace(rep, facet_count=5)):
+            assert not verify_certificate(tampered, Orthant(4))
+
 
 class TestAlternatives:
     def test_monotone_in_orthant(self):
@@ -360,6 +399,17 @@ class TestFalsify:
     def test_thin_halfspace_order_clean(self, m):
         # 2^-m of the cube lies in this order: a projection reaches it all the same.
         assert falsify(Orthant(m), PolyhedralH(m, -np.eye(m))) is None
+
+    @pytest.mark.parametrize("L", [needle_cone(), ring_cone(8), PolyhedralH(3, -np.eye(3))],
+                             ids=["needle", "ring", "orthant"])
+    def test_halfspace_directions_are_not_noise(self, L):
+        # P_L(z) alone is the solver's noise for about 46 %, 14 % and 12 % of
+        # these draws, those in the polar cone; they take P_L(-z) instead.
+        n, directions = L._directions(10.0)
+        words = np.random.default_rng(0).integers(0, 2**64, (2000, n), dtype=np.uint64)
+        u = isotonic._uniforms(words)
+        norms = kernels._row_norms(directions(u))
+        assert (norms >= kernels.NNLS_RTOL * kernels._row_norms(10.0 * ndtri(u))).all()
 
     @pytest.mark.parametrize("K", [Orthant(3), triangle_cone(), MonotoneNonneg(3)],
                              ids=["closed-form", "nnls", "pava"])

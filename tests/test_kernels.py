@@ -8,7 +8,8 @@ from scipy.optimize import linprog
 
 from coneproj import Simplicial, is_proper, lp_feasible, nnls, project
 from coneproj import cones, kernels
-from coneproj.kernels import DEFAULT_BOX, DEFAULT_MARGIN, _norms, _row_min, _row_norms
+from coneproj.kernels import (DEFAULT_BOX, DEFAULT_MARGIN, _norms, _row_min, _row_norms,
+                              _rows_times)
 from conftest import ring_cone
 
 
@@ -403,3 +404,34 @@ def test_row_reductions_match_numpy(m, rng):
         got = _row_min(X)
         np.testing.assert_array_equal(got[~tie].view(np.uint64), low[~tie].view(np.uint64))
         assert (got[tie] == 0.0).all()
+
+
+def test_rows_times_strided_x_and_f_order_m(forced_path, rng):
+    # Rows of a strided X times M in C and in F order: each row as in its own
+    # call, and the product within rounding of numpy's.
+    X = (rng.standard_normal((1024, 8)) * 10.0 ** rng.uniform(-3.0, 3.0, (1024, 1)))[:, ::2]
+    C = rng.standard_normal((4, 3))
+    for M in (C, np.asfortranarray(C)):
+        for size in (1, 2, 17, 1024):
+            P = _rows_times(X[:size], M)
+            for x, p in zip(X[:size], P):
+                one = _rows_times(x[None, :], M)[0]
+                np.testing.assert_array_equal(p.view(np.uint64), one.view(np.uint64))
+            assert (np.abs(P - X[:size] @ M) <= 1e-14 * (np.abs(X[:size]) @ np.abs(M))).all()
+
+
+def test_row_probe_refuses_a_product_that_depends_on_the_block(monkeypatch, rng):
+    # One ulp added to every row of blocks over 16 rows must fail the probe,
+    # and _rows_times must then multiply row by row.
+    block_times = kernels._block_times
+
+    def skewed(X, M):
+        P = block_times(X, M)
+        return np.nextafter(P, np.inf) if len(X) > 16 else P
+
+    monkeypatch.setattr(kernels, "_block_times", skewed)
+    monkeypatch.setattr(kernels, "_block_verdicts", {})
+    X = rng.standard_normal((64, 4))
+    M = rng.standard_normal((4, 3))
+    np.testing.assert_array_equal(_rows_times(X, M), np.matmul(X[:, None, :], M)[:, 0, :])
+    assert kernels._block_verdicts == {(4, 3, True): False}

@@ -245,6 +245,11 @@ def test_row_kernel_matches_project(cone, rng):
 
 
 @pytest.mark.parametrize("cone", ROW_KERNEL_CONES, ids=lambda K: type(K).__name__)
+def test_row_kernel_matches_project_on_forced_path(forced_path, cone, rng):
+    test_row_kernel_matches_project(cone, rng)
+
+
+@pytest.mark.parametrize("cone", ROW_KERNEL_CONES, ids=lambda K: type(K).__name__)
 def test_margin_kernel_matches_cone_margin(cone, rng):
     X = kernel_test_rows(cone, rng)
     for x, mg in zip(X, cone._margin_rows(X)):
@@ -293,6 +298,12 @@ def test_row_kernels_independent_of_block(cone, size):
         for u, d in zip(U, D):
             np.testing.assert_array_equal(d, directions(u[None, :])[0])
             assert membership(cone, d / scale)
+
+
+@pytest.mark.parametrize("cone", BLOCK_CONES.values(), ids=BLOCK_CONES.keys())
+@pytest.mark.parametrize("size", [1, 2, 7, 512, 1024])
+def test_row_kernels_independent_of_block_on_forced_path(forced_path, cone, size):
+    test_row_kernels_independent_of_block(cone, size)
 
 
 @pytest.mark.parametrize("cone", BLOCK_CONES.values(), ids=BLOCK_CONES.keys())
