@@ -97,14 +97,8 @@ class _Cone:
     normals for halfspace cones; None for the Lorentz and monotone cones)
     and the (B,) solver iterations (None for closed forms).  _margin_rows
     gives the (B,) margins.  A row whose solve hits the iteration cap comes
-    out NaN.
+    out NaN.  A cone keeps no solver state: nnls keeps it with the matrix.
     """
-
-    @cached_property
-    def _operators(self):
-        """Least-squares operators of this cone's NNLS solves, all on one
-        matrix, kept so later solves reuse them (kernels.nnls)."""
-        return {}
 
     @property
     def _generators(self):
@@ -274,7 +268,7 @@ class Simplicial(_Cone):
         if self.orthonormal:
             lam, iterations = np.maximum(_rows_times(X, E), 0.0), None
         else:
-            lam, iterations = nnls(E, X, self._operators)
+            lam, iterations = nnls(E, X)
         return _rows_times(lam, E.T), lam, iterations
 
     def _active(self, x, p, c):
@@ -318,9 +312,8 @@ class PolyhedralH(_Cone):
     def _solve_rows(self, X):
         """(x - U^T mu, mu, iterations) per row: Moreau with the polar cone,
         generated by the normals U, with mu >= 0 the NNLS coefficients on U^T."""
-        U = self.normals
-        mu, iterations = nnls(U.T, X, self._operators)
-        return X - _rows_times(mu, U), mu, iterations
+        mu, iterations = nnls(self.normals.T, X)
+        return X - _rows_times(mu, self.normals), mu, iterations
 
     def _active(self, x, p, c):
         # Facets that p meets within 1e-9 max|x|: at a degenerate p a facet
@@ -375,7 +368,7 @@ class PolyhedralV(_Cone):
 
     def _solve_rows(self, X):
         """(V lam, lam, iterations) per row, lam >= 0 the NNLS coefficients on V."""
-        lam, iterations = nnls(self.generators, X, self._operators)
+        lam, iterations = nnls(self.generators, X)
         return _rows_times(lam, self.generators.T), lam, iterations
 
     def _margin_rows(self, X):

@@ -4,16 +4,17 @@ All kernels are deterministic and operate on small dense problems (tens of
 dimensions).  They back the cone projection and certification layers.
 
 One Lawson-Hanson NNLS solver (nnls) serves every projection without a
-closed form and also answers the library's one LP question, whether G x > 0
-has a point: lp_feasible(G) finds the least-norm point of G y >= 1 by
-least-distance programming (Lawson & Hanson, Solving Least Squares
-Problems, 1974, ch. 23), an NNLS problem on the matrix [G^T; 1^T].  It
-first tries the sum of the unit rows as witness, and skips the solver when
-that point is deep enough.  Either way it returns "feasible" only with a
-witness that one product re-checks, so a feasibility verdict never rests on
-the solver alone.  LpResult.margin is that witness's common slack: a lower
-bound on the optimum of the LP that maximizes the common slack, not the
-optimum itself.
+closed form, reusing a matrix's least-squares operators in every later call
+on an equal matrix, and answers the library's one LP question, whether
+G x > 0 has a point: lp_feasible(G) finds the least-norm point of G y >= 1
+by least-distance programming (Lawson & Hanson, Solving Least Squares
+Problems, 1974, ch. 23), an NNLS problem on the matrix [G^T; 1^T].  It first
+tries the sum of the unit rows as witness, and skips the solver when that
+point is deep enough.  Either way it returns "feasible" only with a witness
+that one product re-checks, so a feasibility verdict never rests on the
+solver alone.  LpResult.margin is that witness's common slack: a lower bound
+on the optimum of the LP that maximizes the common slack, not the optimum
+itself.
 """
 
 from __future__ import annotations
@@ -192,10 +193,11 @@ def pava(y):
     return _isotonic_rows(y[None, :])[0]
 
 
-# Least-squares operators an NNLS solver keeps for one matrix, one for each
-# passive set it visits: 256 hold all 255 sets of 8 columns.  A full cache is
-# emptied before the next one goes in: one atomic step, so threads may share a cone.
+# Bounds of nnls's table: operators a matrix (256 hold all 255 passive sets of
+# 8 columns) and matrices (the benchmark's falsify-solver solves on up to 49).
 OPERATOR_CACHE_SIZE = 256
+_SOLVER_CACHE_SIZE = 64
+_solvers = {}
 
 
 def _operator(A, passive):
@@ -274,26 +276,26 @@ def _lawson_hanson(A, b, operators, tol, max_iter):
             passive = [xi > 0.0 for xi in x]
 
 
-def nnls(A, B, operators=None, max_iter=None):
+def nnls(A, B, max_iter=None):
     """Lawson-Hanson active-set solutions of min ||A @ c - b|| over c >= 0,
     one for each row b of the (R, m) array B, for a finite (m, n) array A.
 
-    Shared by every NNLS route.  A may have any shape, including more
-    columns than rows and dependent columns: a column enters the passive set
-    only while its gradient exceeds NNLS_RTOL relative to the largest entry
-    of A, so columns in the span of the passive ones never enter.  Each row
-    b is divided by the exact power of two 2**e, e = frexp(max|b|)[1], and
-    its solution multiplied back, so the fixed relative tolerance holds at
-    every scale (1e-300 to 1e300).  Column selection breaks ties toward the
-    lowest index, so the output is deterministic.  Passive coefficients are
-    strictly positive and the rest exactly zero.
+    A may have any shape, including more columns than rows and dependent
+    columns: a column enters the passive set only while its gradient exceeds
+    NNLS_RTOL relative to the largest entry of A, so columns in the span of the
+    passive ones never enter.  Each row b is divided by the exact power of two
+    2**e, e = frexp(max|b|)[1], and its solution multiplied back, so the fixed
+    relative tolerance holds at every scale (1e-300 to 1e300).  Column selection
+    breaks ties toward the lowest index, so the output is deterministic.
+    Passive coefficients are strictly positive and the rest exactly zero.
 
     Rows are solved one at a time, so a row's result does not depend on the
-    other rows of B, bit for bit.  Rows that visit the same passive set
-    share its least-squares operator (_operator): `operators` maps passive
-    masks, as bytes, to their operators, and the caller keeps it with A for
-    later calls (combinatorial NNLS); it holds at most OPERATOR_CACHE_SIZE.
-    None starts an empty one.
+    other rows of B, bit for bit.  Rows that visit the same passive set share
+    its least-squares operator (_operator), as do later calls on an equal A
+    (combinatorial NNLS): a module table keyed by A's shape, strides (C and F
+    order round differently) and bytes, all an operator depends on, keeps
+    A's tolerance and operators; a full table or operator dict is emptied in
+    one atomic step, so threads may share them.
 
     Returns (coefficients (R, n), iterations (R,)).  A row that exhausts the
     iteration cap (10 * columns by default), or has a non-finite entry, gets
@@ -307,11 +309,16 @@ def nnls(A, B, operators=None, max_iter=None):
     n = A.shape[1]
     if max_iter is None:
         max_iter = 10 * n
-    tol = NNLS_RTOL * float(np.abs(A).max(initial=0.0))
-    if not math.isfinite(tol):
-        raise ValueError("A must be finite")
-    if operators is None:
-        operators = {}
+    key = (A.shape, A.strides, A.tobytes())
+    entry = _solvers.get(key)
+    if entry is None:
+        tol = NNLS_RTOL * float(np.abs(A).max(initial=0.0))
+        if not math.isfinite(tol):
+            raise ValueError("A must be finite")
+        if len(_solvers) >= _SOLVER_CACHE_SIZE:
+            _solvers.clear()
+        entry = _solvers[key] = (tol, {})
+    tol, operators = entry
     top = np.abs(B).max(axis=1, initial=0.0)
     e = np.frexp(top)[1][:, None]
     B = np.ldexp(B, -e)

@@ -468,8 +468,8 @@ def test_cap_failure_late_in_block_keeps_earlier_violation(monkeypatch):
     assert cex.trial == 8
     capped_rows = []
 
-    def capped(A, B, operators, max_iter=None):
-        C, iterations = kernels.nnls(A, B, operators, max_iter=3)
+    def capped(A, B, max_iter=None):
+        C, iterations = kernels.nnls(A, B, max_iter=3)
         capped_rows.append(int(np.isnan(C[:, 0]).sum()))
         return C, iterations
 

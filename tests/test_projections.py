@@ -1,3 +1,5 @@
+import sys
+import threading
 from functools import partial
 
 import numpy as np
@@ -324,16 +326,101 @@ def test_generator_margin_does_not_overflow(scale):
     assert cone_margin(PolyhedralV(3, np.eye(3)), x) == -2.0 * scale
 
 
+def row_bits(cone, X):
+    """Projections of the rows of X, each in its own call, as bytes."""
+    return [cone._solve_rows(x[None, :])[0][0].tobytes() for x in X]
+
+
+def cold_row_bits(cone, X):
+    """row_bits with nnls's table emptied before each row."""
+    bits = []
+    for x in X:
+        kernels._solvers.clear()
+        bits.extend(row_bits(cone, x[None, :]))
+    return bits
+
+
 def test_operator_cache_is_bounded(monkeypatch, rng):
-    # A cone keeps at most OPERATOR_CACHE_SIZE operators, and which ones it
-    # keeps does not change a result, bit for bit.
+    # nnls's table keeps at most OPERATOR_CACHE_SIZE operators a matrix and
+    # _SOLVER_CACHE_SIZE matrices, and what it holds (nothing, the operators
+    # of this cone or of an equal one, or of other matrices) does not change
+    # a row, bit for bit.
     monkeypatch.setattr(kernels, "OPERATOR_CACHE_SIZE", 2)
+    monkeypatch.setattr(kernels, "_SOLVER_CACHE_SIZE", 2)
+    monkeypatch.setattr(kernels, "_solvers", {})
     X = rng.standard_normal((200, 3))
+    cold = cold_row_bits(ring_cone(8), X)
+    kernels._solvers.clear()
     K = ring_cone(8)
-    P = K._solve_rows(X)[0]
-    assert 1 <= len(K._operators) <= 2
-    for x, p in zip(X, P):
-        np.testing.assert_array_equal(ring_cone(8)._solve_rows(x[None, :])[0][0], p)
+    assert [p.tobytes() for p in K._solve_rows(X)[0]] == cold
+    (_, operators), = kernels._solvers.values()
+    assert 1 <= len(operators) <= 2
+    assert row_bits(K, X) == cold  # warm
+    assert row_bits(ring_cone(8), X) == cold  # warmed by an equal cone
+    others = [ring_cone(k) for k in (5, 6, 7)]
+    for x, bits in zip(X, cold):
+        for L in others:
+            L._solve_rows(x[None, :])
+            assert len(kernels._solvers) <= 2
+            assert all(len(ops) <= 2 for _, ops in kernels._solvers.values())
+        assert row_bits(K, x[None, :]) == [bits]
+
+
+def test_operator_cache_keeps_c_and_f_order_apart(monkeypatch, rng):
+    # Simplicial stores its columns in C order and PolyhedralV the same
+    # values in F order; _operator rounds the two differently, so each cone
+    # must come out as on a table that never held the other's operators.
+    monkeypatch.setattr(kernels, "_solvers", {})
+    for m in (2, 3, 4, 5):
+        E = rng.standard_normal((m, m))
+        S, V = Simplicial(E), PolyhedralV(m, E)
+        assert S.columns.tobytes() == V.generators.tobytes()
+        assert S.columns.strides != V.generators.strides
+        X = rng.standard_normal((100, m))
+        cold = [cold_row_bits(K, X) for K in (S, V)]
+        for first, second in ((0, 1), (1, 0)):
+            kernels._solvers.clear()
+            assert row_bits((S, V)[first], X) == cold[first]
+            assert row_bits((S, V)[second], X) == cold[second]
+            # Each table entry holds what its own layout computes.
+            for A in (S.columns, V.generators):
+                _, operators = kernels._solvers[A.shape, A.strides, A.tobytes()]
+                for mask, op in operators.items():
+                    expected = kernels._operator(A, np.frombuffer(mask, dtype=bool))
+                    assert op.tobytes() == expected.tobytes()
+
+
+def test_operator_cache_shared_by_threads(monkeypatch):
+    # Two threads solve the triangle cone's rows on fresh, equal cones at the
+    # same time, sharing one table entry whose small bound keeps it emptying
+    # and refilling, and switching often: each comes out as the sequential
+    # solve, bit for bit.
+    monkeypatch.setattr(kernels, "OPERATOR_CACHE_SIZE", 2)
+    monkeypatch.setattr(kernels, "_solvers", {})
+    G = np.eye(3) - 0.4 * (np.ones((3, 3)) - np.eye(3))
+    E = np.linalg.cholesky(G).T
+    X = np.random.default_rng(24).standard_normal((2000, 3))
+    expected = row_bits(Simplicial(E), X)
+    start = threading.Barrier(2)
+    results = [None, None]
+
+    def solve(i):
+        K = Simplicial(E)
+        start.wait()
+        results[i] = row_bits(K, X[::-1] if i else X)
+
+    threads = [threading.Thread(target=solve, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[0] == expected
+    assert results[1] == expected[::-1]
 
 
 @pytest.mark.parametrize("cone, x", [
