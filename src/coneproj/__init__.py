@@ -43,14 +43,13 @@ from .isotonic import (
     verify_certificate,
 )
 from .kernels import (
-    IndeterminateError,
     LpResult,
+    NonConvergenceError,
     lp_feasible,
     nnls,
     pava,
 )
 from .projections import (
-    NonConvergenceError,
     ProjectionResult,
     moreau,
     project,

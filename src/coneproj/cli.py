@@ -24,8 +24,8 @@ from . import isotonic
 from .cones import (DimensionMismatchError, Simplicial, UnsupportedConeError, cone_to_dict,
                     dual, is_proper, load_cone, save_cone)
 from .isotonic import FalsifierConfig, Obstruction
-from .kernels import IndeterminateError
-from .projections import NonConvergenceError, project
+from .kernels import NonConvergenceError
+from .projections import project
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -59,7 +59,7 @@ def _run(command, paths, out, body):
     """Load the cones at `paths`, call `body(*cones)` and emit its report.
 
     `body` returns (verdict, exit code, report fields).  Input errors exit 3;
-    non-convergence and indeterminate feasibility exit 2.
+    a solve that hits its iteration cap exits 2.
     """
     started = time.perf_counter()
     try:
@@ -73,7 +73,7 @@ def _run(command, paths, out, body):
                 fh.write(text + "\n")
     except (ValueError, OSError) as exc:
         _fail(str(exc), EXIT_INPUT)
-    except (NonConvergenceError, IndeterminateError) as exc:
+    except NonConvergenceError as exc:
         _fail(str(exc), EXIT_INCONCLUSIVE)
     click.echo(text)
     sys.exit(code)
@@ -84,7 +84,7 @@ def _judge(cert, K, L, tol, held=("inconclusive", EXIT_INCONCLUSIVE), **fields):
     refute.  Any verdict but "inconclusive" needs `verify_certificate` to pass."""
     verdict, code = ("refuted", EXIT_REFUTED) if cert.refuted else held
     if verdict != "inconclusive" and not isotonic.verify_certificate(cert, K, L, tol):
-        raise IndeterminateError("certificate failed re-verification")
+        _fail("certificate failed re-verification", EXIT_INCONCLUSIVE)
     return verdict, code, {**fields, "certificate": cert._to_json()}
 
 

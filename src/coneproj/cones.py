@@ -24,9 +24,9 @@ from scipy.special import ndtri
 
 from .kernels import (
     EPS,
-    IndeterminateError,
     NNLS_RTOL,
     RANK_RTOL,
+    NonConvergenceError,
     _has_interior,
     _isotonic_rows,
     _norms,
@@ -81,6 +81,16 @@ def _read_only(M):
     return M
 
 
+def _generates_proper(V):
+    """True iff the columns of the (m, k) array V generate a proper cone: V has
+    rank m (generating) and <v_j, x> > 0 has a point (pointed).  A cone is
+    proper exactly when its dual is, so a halfspace cone asks this of its
+    dual's generators."""
+    if np.linalg.matrix_rank(V, tol=RANK_RTOL) < len(V):
+        return False
+    return _has_interior(V.T)
+
+
 class _Cone:
     """Behaviour of one cone family, behind the module-level functions.
 
@@ -122,6 +132,13 @@ class _Cone:
 
     def _sign_flip(self, eps):
         raise UnsupportedConeError("sign flips apply to orthant and simplicial cones")
+
+    def _solve_rows(self, X):
+        """(V lam, lam, iterations) per row, lam >= 0 the NNLS coefficients on
+        the generators V."""
+        V = self._generators
+        lam, iterations = nnls(V, X)
+        return _rows_times(lam, V.T), lam, iterations
 
     def _is_proper(self):
         return True
@@ -209,18 +226,6 @@ class SignedOrthant(_Cone):
     def _sign_flip(self, eps):
         return SignedOrthant(epsilon=self.epsilon * eps)
 
-    def _directions(self, scale):
-        # Elementwise: at every normal scale the bits of the product with
-        # diag(epsilon), whose other terms are exact zeros.
-        w = -scale * self.epsilon
-
-        def directions(u):
-            d = np.log(u)
-            d *= w
-            return d
-
-        return self.dim, directions
-
 
 @dataclass(frozen=True)
 class Simplicial(_Cone):
@@ -264,12 +269,11 @@ class Simplicial(_Cone):
     def _solve_rows(self, X):
         """(E lam, lam, iterations) per row, lam >= 0 the coefficients on the
         columns E: max(E^T x, 0) in closed form when E is orthonormal, else NNLS."""
+        if not self.orthonormal:
+            return super()._solve_rows(X)
         E = self.columns
-        if self.orthonormal:
-            lam, iterations = np.maximum(_rows_times(X, E), 0.0), None
-        else:
-            lam, iterations = nnls(E, X)
-        return _rows_times(lam, E.T), lam, iterations
+        lam = np.maximum(_rows_times(X, E), 0.0)
+        return _rows_times(lam, E.T), lam, None
 
     def _active(self, x, p, c):
         # NNLS zeros are exact; on a facet the closed form's E^T x is off 0 by about m eps max|x|.
@@ -326,10 +330,7 @@ class PolyhedralH(_Cone):
         return PolyhedralV(dim=self.dim, generators=-self.normals.T)
 
     def _is_proper(self):
-        U = self.normals
-        if np.linalg.matrix_rank(U, tol=RANK_RTOL) < self.dim:
-            return False  # dual not generating, so the cone is not pointed
-        return _has_interior(-U)  # <u, x> < 0
+        return _generates_proper(-self.normals.T)  # the dual's generators
 
     def _directions(self, scale):
         # d = P_L(z), z = scale * ndtri(u): a projection lands in the cone,
@@ -366,11 +367,6 @@ class PolyhedralV(_Cone):
     def _generators(self):
         return self.generators
 
-    def _solve_rows(self, X):
-        """(V lam, lam, iterations) per row, lam >= 0 the NNLS coefficients on V."""
-        lam, iterations = nnls(self.generators, X)
-        return _rows_times(lam, self.generators.T), lam, iterations
-
     def _margin_rows(self, X):
         return -_row_norms(X - self._solve_rows(X)[0])
 
@@ -382,10 +378,7 @@ class PolyhedralV(_Cone):
         return PolyhedralH(dim=self.dim, normals=-self.generators.T)
 
     def _is_proper(self):
-        V = self.generators
-        if np.linalg.matrix_rank(V, tol=RANK_RTOL) < self.dim:
-            return False  # not generating
-        return _has_interior(V.T)  # <v, x> > 0
+        return _generates_proper(self.generators)
 
 
 @dataclass(frozen=True)
@@ -493,11 +486,12 @@ def cone_margin(cone, x):
 
     Componentwise and halfspace families report the worst constraint value;
     generator families report coefficient or NNLS-residual margins.  The sign
-    is what matters; magnitudes are family-specific.
+    is what matters; magnitudes are family-specific.  Raises
+    NonConvergenceError when the NNLS solve hits its iteration cap.
     """
     margin = float(cone._margin_rows(_check_dim(cone, x)[None, :])[0])
     if math.isnan(margin):  # a NaN row: its solve hit the iteration cap
-        raise IndeterminateError("nnls iteration cap exceeded")
+        raise NonConvergenceError("nnls iteration cap exceeded")
     return margin
 
 
@@ -542,7 +536,7 @@ def is_proper(cone):
     so a cone as thin as |x1| <= 1e-8 x2 is proper.  The other families
     are proper by construction.
 
-    Raises IndeterminateError when the LP cannot decide.
+    Raises NonConvergenceError when the LP solver hits its iteration cap.
     """
     return cone._is_proper()
 

@@ -21,7 +21,6 @@ from scipy.special import ndtri
 
 from .cones import (
     DimensionMismatchError,
-    UnsupportedConeError,
     _check_dim,
     _check_tol,
     cone_margin,
@@ -31,8 +30,7 @@ from .cones import (
     is_proper,
     membership,
 )
-from .kernels import IndeterminateError, _has_interior
-from .projections import NonConvergenceError
+from .kernels import NonConvergenceError, _has_interior
 
 DEFAULT_TOL = 1e-9
 
@@ -468,8 +466,8 @@ def falsify(K, L, cfg=FalsifierConfig()):
     verify_certificate: rounding fails it for a direction far below the
     scale of x.
     Returns None when no violation shows up within the budget; absence of a
-    counterexample proves nothing.  Raises NonConvergenceError
-    (IndeterminateError for the margin of L) at the first trial whose solve
+    counterexample proves nothing.  Raises NonConvergenceError at the first
+    trial whose solve, of the projection onto K or of the margin of L,
     exhausts its iteration cap, unless an earlier trial is a violation.
     """
     if K.dim != L.dim:
@@ -499,8 +497,7 @@ def falsify(K, L, cfg=FalsifierConfig()):
         low = () if mg.min() >= threshold else (~(mg >= threshold)).nonzero()[0]
         for i in low:
             if math.isnan(mg[i]):
-                error = NonConvergenceError if np.isnan(v[i]).any() else IndeterminateError
-                raise error(f"trial {t + i}: nnls iteration cap exceeded")
+                raise NonConvergenceError(f"trial {t + i}: nnls iteration cap exceeded")
             if (mg[i] < threshold * (1.0 + math.hypot(*v[i].tolist()))
                     and leq(L, xy[i], xy[count + i], cfg.tol)):
                 return Counterexample(x=xy[i], y=xy[count + i], px=p[i], py=p[count + i],
@@ -511,10 +508,15 @@ def falsify(K, L, cfg=FalsifierConfig()):
 
 
 def verify_certificate(cert, K, L=None, tol=DEFAULT_TOL):
-    """Independently re-check a certificate by its own check; False on any failure."""
+    """Independently re-check a certificate by its own check.
+
+    False when the check runs and fails, or rejects its input (a ValueError,
+    such as UnsupportedConeError).  A solve that hits its iteration cap
+    decides nothing, so NonConvergenceError propagates.
+    """
     check = getattr(cert, "_verify", None)
     try:
         _check_tol(tol)
         return check is not None and check(K, L, tol)
-    except (ValueError, UnsupportedConeError, IndeterminateError):
+    except ValueError:
         return False

@@ -15,6 +15,10 @@ that one product re-checks, so a feasibility verdict never rests on the
 solver alone.  LpResult.margin is that witness's common slack: a lower bound
 on the optimum of the LP that maximizes the common slack, not the optimum
 itself.
+
+A solve that hits its iteration cap leaves its answer undecided: nnls gives
+that row NaN and lp_feasible the status "indeterminate".  The layers above
+raise NonConvergenceError, the library's one exception for such an answer.
 """
 
 from __future__ import annotations
@@ -43,8 +47,8 @@ DEFAULT_MARGIN = 1e-7
 LDP_PASSES = 4
 
 
-class IndeterminateError(RuntimeError):
-    """An iterative kernel failed to reach a conclusive answer."""
+class NonConvergenceError(RuntimeError):
+    """A Lawson-Hanson solve hit its iteration cap, leaving its answer undecided."""
 
 
 @dataclass(frozen=True)
@@ -441,8 +445,8 @@ def _has_interior(G):
     """True iff G x > 0 has a point, for a (k, m) array G: lp_feasible's
     verdict as a bool, asked through the module global so that a tracer
     that rebinds kernels.lp_feasible sees every call.  Raises
-    IndeterminateError when the solver hits its iteration cap."""
+    NonConvergenceError when the solver hits its iteration cap."""
     res = lp_feasible(G)
     if res.status == "indeterminate":
-        raise IndeterminateError("interior LP indeterminate")
+        raise NonConvergenceError("interior LP indeterminate")
     return res.status == "feasible"

@@ -29,12 +29,9 @@ from .cones import (
     facet_normals,
     generator_matrix,
 )
+from .kernels import NonConvergenceError
 
 ORACLE_MAX_FACETS = 20
-
-
-class NonConvergenceError(RuntimeError):
-    """The projection's Lawson-Hanson solve exhausted its iteration cap."""
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from coneproj import (
     falsify,
     generator_matrix,
     gram,
+    is_proper,
     leq,
     lp_feasible,
     membership,
@@ -484,6 +485,52 @@ def test_cap_failure_late_in_block_keeps_earlier_violation(monkeypatch):
         falsify(K, L, cfg)
 
 
+GENERATED = PolyhedralV(3, np.eye(3))
+OUTSIDE = np.array([2.0, -1.0, 0.5])
+FEW_TRIALS = FalsifierConfig(trials=10)
+
+
+def _refuted_triangle():
+    return falsify(triangle_cone(), Lorentz(3), FalsifierConfig(trials=1000, seed=42))
+
+
+def _check_of_generated_order():
+    """The re-check of a pair with y - x in the orthant, which only L's solves decide."""
+    cex = _refuted_triangle()
+    return partial(verify_certificate, replace(cex, y=cex.x + np.abs(cex.y - cex.x)),
+                   Orthant(3), GENERATED)
+
+
+# (module whose nnls is capped, a call made before the cap): every public
+# answer that a capped solve leaves undecided raises the one class.
+CAPPED_CALLS = [
+    pytest.param(cones, lambda: partial(project, triangle_cone(), OUTSIDE), id="project"),
+    pytest.param(cones, lambda: partial(cone_margin, GENERATED, OUTSIDE), id="cone_margin"),
+    pytest.param(cones, lambda: partial(membership, GENERATED, OUTSIDE), id="membership"),
+    pytest.param(cones, lambda: partial(leq, GENERATED, np.zeros(3), OUTSIDE), id="leq"),
+    pytest.param(cones, lambda: partial(falsify, triangle_cone(), Orthant(3), FEW_TRIALS),
+                 id="falsify-K"),
+    pytest.param(cones, lambda: partial(falsify, Orthant(3), GENERATED, FEW_TRIALS),
+                 id="falsify-L"),
+    # The candidate step leaves these normals to the least-distance solver.
+    pytest.param(kernels, lambda: partial(
+        is_proper, PolyhedralH(3, np.random.default_rng(0).standard_normal((4, 3)))),
+        id="is_proper"),
+    pytest.param(cones, lambda: partial(
+        verify_certificate, _refuted_triangle(), triangle_cone(), Lorentz(3)),
+        id="verify_certificate-K"),
+    pytest.param(cones, _check_of_generated_order, id="verify_certificate-L"),
+]
+
+
+@pytest.mark.parametrize("module, prepare", CAPPED_CALLS)
+def test_every_capped_solve_raises_nonconvergence(monkeypatch, module, prepare):
+    call = prepare()
+    monkeypatch.setattr(module, "nnls", partial(kernels.nnls, max_iter=0))
+    with pytest.raises(NonConvergenceError):
+        call()
+
+
 def isac_nemeth_gram(rng, m, acute):
     """Gram matrix M = [<u_i, u_j>] of m unit vectors: unit diagonal,
     off-diagonals <= 0 and least eigenvalue >= 0.05; with `acute`, one
@@ -644,7 +691,7 @@ class TestVerifyCertificate:
                 return False
             v = project(K, cex.y).point - project(K, cex.x).point
             return cone_margin(L, v) < -10.0 * tol * (1.0 + math.hypot(*v.tolist()))
-        except (ValueError, kernels.IndeterminateError):
+        except ValueError:  # as in verify_certificate: a capped solve raises
             return False
 
     def test_counterexample_check_matches_two_projections(self):
@@ -675,11 +722,13 @@ class TestVerifyCertificate:
         generators = PolyhedralV(3, np.eye(3))
         assert verify_certificate(cex, triangle_cone(), Lorentz(3))
         monkeypatch.setattr(cones, "nnls", partial(kernels.nnls, max_iter=0))
-        # A capped projection raises; a capped margin of L is a failed check.
+        # A capped solve decides nothing, for the projection onto K and the
+        # margin of L alike: the check raises.
         with pytest.raises(NonConvergenceError):
             verify_certificate(cex, triangle_cone(), Lorentz(3))
-        assert not verify_certificate(replace(cex, y=cex.x + np.abs(cex.y - cex.x)),
-                                      Orthant(3), generators)
+        with pytest.raises(NonConvergenceError):
+            verify_certificate(replace(cex, y=cex.x + np.abs(cex.y - cex.x)),
+                               Orthant(3), generators)
 
     def test_needs_l_for_counterexample(self):
         cfg = FalsifierConfig(trials=10_000, seed=42)
