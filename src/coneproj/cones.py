@@ -20,6 +20,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.special import ndtri
 
 from .kernels import (
@@ -59,10 +60,10 @@ def _unit(M, axis, what):
     M = np.array(M, dtype=float)
     if not np.isfinite(M).all():
         raise ConeFormatError(f"{what} entries must be finite")
-    n = _norms(M, axis=axis)
+    n = _norms(M, axis)
     if not n.all():
         raise ConeFormatError(f"zero {what}")
-    n = np.where(np.abs(n - 1.0) < 1e-12, 1.0, n)
+    n[np.abs(n - 1.0) < 1e-12] = 1.0
     return _read_only(M / (n[:, None] if axis == 1 else n))
 
 
@@ -237,10 +238,12 @@ class Simplicial(_Cone):
 
     def __post_init__(self):
         E = np.asarray(self.columns, dtype=float)
-        if E.ndim != 2 or E.shape[0] != E.shape[1]:
-            raise ConeFormatError("simplicial generator matrix must be square")
+        if E.ndim != 2 or E.shape[0] != E.shape[1] or not len(E):
+            raise ConeFormatError("simplicial generator matrix must be square and nonempty")
         E = _unit(E, 0, "generator")
-        sv = np.linalg.svd(E, compute_uv=False)
+        _, sv, _, info = lapack.dgesdd(E, compute_uv=0)
+        if info:
+            raise np.linalg.LinAlgError("SVD did not converge")
         if sv[-1] < RANK_RTOL * sv[0]:
             raise ConeFormatError("generator columns are numerically dependent")
         object.__setattr__(self, "columns", E)
@@ -569,8 +572,8 @@ _JSON_FIELDS = {
     "generators": (lambda v: np.asarray(v, dtype=float).T, lambda V: V.T.tolist()),
 }
 
-_FAMILIES = {cls._type: cls for cls in (Orthant, SignedOrthant, Simplicial, PolyhedralH,
-                                         PolyhedralV, Lorentz, MonotoneNonneg)}
+_FAMILIES = {cls._type: (cls, [f.name for f in fields(cls)]) for cls in (
+    Orthant, SignedOrthant, Simplicial, PolyhedralH, PolyhedralV, Lorentz, MonotoneNonneg)}
 
 
 def cone_from_dict(data):
@@ -580,8 +583,7 @@ def cone_from_dict(data):
     kind = data.get("type")
     if kind not in _FAMILIES:
         raise ConeFormatError(f"unknown cone type {kind!r}")
-    cls = _FAMILIES[kind]
-    required = [f.name for f in fields(cls)]
+    cls, required = _FAMILIES[kind]
     given = set(data) - {"type"}
     if given != set(required):
         raise ConeFormatError(

@@ -323,7 +323,8 @@ def certify_necessary(K, L, tol=DEFAULT_TOL):
     nonempty, isotonicity requires K subdual and K within L within K*.
     A report with an interior flag set and a failed containment or
     subduality flag is a structural refutation; anything else is
-    inconclusive (the conditions are necessary, never sufficient).
+    inconclusive (the conditions are necessary, never sufficient).  One LP
+    answers both interior flags where their systems are equal bit for bit.
     """
     if not is_proper(K) or not is_proper(L):
         raise ValueError("certify_necessary requires proper cones")
@@ -331,18 +332,24 @@ def certify_necessary(K, L, tol=DEFAULT_TOL):
     GL = generator_matrix(L)
     UL = facet_normals(L)
 
-    k_in_l = all(membership(L, GK[:, j], tol) for j in range(GK.shape[1]))
-    l_in_k_dual = bool(np.min(GK.T @ GL) >= -tol)
+    _check_tol(tol)
+    _check_dim(L, GK[:, 0])
+    # The first margin short of L decides; NaN there is a solve at its iteration cap.
+    short = next((mg for mg, g in zip(L._margin_rows(GK.T).tolist(), GK.T.tolist())
+                  if not mg >= -tol * (1.0 + math.hypot(*g))), math.inf)
+    if math.isnan(short):
+        raise NonConvergenceError("nnls iteration cap exceeded")
 
     # x in int(K*): <g, x> > 0 on the generators g of K; in int(L): <u, x> < 0
     # on the facet normals u of L; in int(L*): <v, x> > 0 on the generators v
     # of L, which negated are the facet normals of L*.
+    A, B = np.vstack([GK.T, -UL]), np.vstack([GK.T, GL.T])
     return ContainmentReport(
-        k_in_l=k_in_l,
-        l_in_k_dual=l_in_k_dual,
+        k_in_l=short == math.inf,
+        l_in_k_dual=bool(np.min(GK.T @ GL) >= -tol),
         k_subdual=check_subdual(K, tol),
-        interior_kdual_l=_has_interior(np.vstack([GK.T, -UL])),
-        interior_kdual_ldual=_has_interior(np.vstack([GK.T, GL.T])),
+        interior_kdual_l=(meets_l := _has_interior(A)),
+        interior_kdual_ldual=meets_l if A.tobytes() == B.tobytes() else _has_interior(B),
     )
 
 
@@ -467,8 +474,8 @@ def falsify(K, L, cfg=FalsifierConfig()):
     scale of x.
     Returns None when no violation shows up within the budget; absence of a
     counterexample proves nothing.  Raises NonConvergenceError at the first
-    trial whose solve, of the projection onto K or of the margin of L,
-    exhausts its iteration cap, unless an earlier trial is a violation.
+    trial whose solve (projecting onto K, or L's margin) exhausts its cap, or
+    ValueError if its x or y overflowed, unless an earlier trial is a violation.
     """
     if K.dim != L.dim:
         raise DimensionMismatchError("K and L dimensions disagree")
@@ -497,6 +504,8 @@ def falsify(K, L, cfg=FalsifierConfig()):
         low = () if mg.min() >= threshold else (~(mg >= threshold)).nonzero()[0]
         for i in low:
             if math.isnan(mg[i]):
+                if not np.isfinite(xy[[i, count + i]]).all():
+                    raise ValueError(f"trial {t + i}: draws overflow at scale {cfg.scale!r}")
                 raise NonConvergenceError(f"trial {t + i}: nnls iteration cap exceeded")
             if (mg[i] < threshold * (1.0 + math.hypot(*v[i].tolist()))
                     and leq(L, xy[i], xy[count + i], cfg.tol)):

@@ -150,12 +150,13 @@ def _norms(M, axis=None):
     overflows nor reaches subnormals, and finite and nonzero for every finite
     nonzero vector.  The prescale is skipped where every largest entry lies in
     [2**-400, 2**400]: no square overflows there, and a square that underflows
-    is below 2**-222 times the largest one.
+    is below 2**-222 times the largest one.  Along an axis that path runs
+    np.linalg.norm's own formula, sqrt(add.reduce(M * M)), without its wrapper.
     """
     M = np.asarray(M, dtype=float)
     top = np.abs(M).max(axis=axis, keepdims=True, initial=0.0)
     if all(2.0**-400 <= t <= 2.0**400 for t in top.ravel().tolist()):
-        return np.linalg.norm(M, axis=axis)
+        return np.linalg.norm(M) if axis is None else np.sqrt(np.add.reduce(M * M, axis))
     e = np.frexp(top)[1]
     n = np.linalg.norm(np.ldexp(M, -e), axis=axis)
     return np.ldexp(n, e.reshape(np.shape(n)))
@@ -336,24 +337,30 @@ def nnls(A, B, max_iter=None):
 
 
 def _least_distance(G, h):
-    """Least-norm solution of G y >= h, or None at the NNLS iteration cap.
+    """Least-norm solution of G y >= h for (k, n) unit rows G, or an LpResult.
 
     Least-distance programming (Lawson & Hanson, ch. 23): u >= 0 minimizing
     ||[G^T; h^T] u - e_last|| is positive on the rows tight at the least-norm
     point, which is the least-norm solution of those rows as equations.
     Solving them is the textbook -r[:-1] / r[-1], r the NNLS residual,
     without its cancellation when r is small, as it is on a thin or empty
-    set.  An empty set comes back as a point that violates some row.
+    set.  An empty set comes back as a point that violates some row, or as
+    "infeasible" where Gordan's bound min(G x) <= ||G^T u||_1 max|x| / sum(u)
+    plus (k + n) eps sqrt(n) box, for rounding in it and in a witness check,
+    is below margin over the box.  At the NNLS cap: "indeterminate".
     """
-    n = G.shape[1]
+    k, n = G.shape
     target = np.zeros((1, n + 1))
     target[0, -1] = 1.0
     u = nnls(np.vstack([G.T, h]), target)[0][0]
     if np.isnan(u[0]):
-        return None
+        return LpResult(status="indeterminate", witness=None, margin=math.nan)
     tight = u > 0.0
     if not tight.any():
         return np.zeros(n)  # h <= 0: the origin
+    bound = np.abs(u.dot(G)).sum() / u.sum() + (k + n) * EPS * math.sqrt(n)
+    if bound * DEFAULT_BOX < DEFAULT_MARGIN:
+        return LpResult(status="infeasible", witness=None, margin=math.nan)
     # The tight rows of G are columns of G^T: their least-squares operator
     # maps h to the least-norm solution of those rows as equations.
     return _operator(G.T, tight)[:, :h.size].dot(h)
@@ -377,8 +384,8 @@ def _least_distance_feasible(G):
         c = 1.0 - G @ y
         e = np.frexp(np.abs(c).max())[1]
         w = _least_distance(G, np.ldexp(c, -e))
-        if w is None:
-            return LpResult(status="indeterminate", witness=None, margin=math.nan)
+        if isinstance(w, LpResult):
+            return w
         y = y + np.ldexp(w, e)
         res = _witness(G, y, DEFAULT_MARGIN)
         if res is not None:
@@ -417,10 +424,10 @@ def lp_feasible(G):
     Either step answers "feasible" only after checking min(G x) >= margin
     on x itself; x is the witness and its slack the margin, a lower bound on
     the optimum of the LP that maximizes the common slack over the box.
-    Otherwise the status is "infeasible", or "indeterminate" at the solver's
-    iteration cap.  Since y has the least 2-norm and the box bounds the
-    inf-norm, the verdict can differ from that LP only when its optimum lies
-    in [margin, sqrt(m) margin): a "feasible" verdict cannot err.
+    Otherwise the status is "infeasible" (proved by Gordan where it can be),
+    or "indeterminate" at the solver's iteration cap.  As y has the least
+    2-norm and the box bounds the inf-norm, the verdict can differ from that
+    LP only when its optimum is in [margin, sqrt(m) margin): "feasible" cannot err.
 
     Raises ValueError when G is not a (k, m) array with rows, an entry is
     not finite or a row is zero.

@@ -232,6 +232,12 @@ class TestFalsify:
         result = runner.invoke(main, ["falsify", orthant3, lorentz2])
         assert result.exit_code == 3
 
+    def test_overflowing_scale_exits_3(self, runner, orthant3):
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = runner.invoke(main, ["falsify", orthant3, orthant3, "--scale", "1.7e308"])
+        assert result.exit_code == 3
+        assert "overflow at scale" in result.output
+
     def test_needle_order_refuted(self, runner, tmp_path, orthant3):
         # Directions are projections onto the order, however thin it is.
         eps = 1e-4

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from coneproj import (
     ConeFormatError,
@@ -26,7 +27,8 @@ from coneproj import (
     save_cone,
     sign_flip,
 )
-from coneproj.kernels import _rows_times
+from coneproj.cones import _unit
+from coneproj.kernels import RANK_RTOL, _norms, _rows_times
 from conftest import random_simplicial, same_generator_sets
 
 ALL_FAMILIES = [
@@ -375,6 +377,46 @@ class TestValidation:
     def test_dependent_generators_rejected(self):
         with pytest.raises(ConeFormatError):
             Simplicial(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]]))
+
+    @pytest.mark.parametrize("E", [np.zeros((0, 0)), np.ones((2, 3)), np.ones(2)],
+                             ids=["empty", "non-square", "vector"])
+    def test_malformed_simplicial_rejected(self, capfd, E):
+        with pytest.raises(ConeFormatError):
+            Simplicial(E)
+        assert capfd.readouterr().err == ""  # LAPACK reports no illegal argument
+
+    def test_rank_verdict_matches_numpy_svd(self):
+        # Columns two apart by an angle t have sigma_min / sigma_max =
+        # tan(t / 2); the ratios straddle RANK_RTOL.  The singular values are
+        # np.linalg.svd's bit for bit, and so is the rank verdict.
+        rng = np.random.default_rng(7)
+        for ratio in (0.5, 0.9, 0.99, 0.999, 1.0, 1.001, 1.01, 1.1, 2.0):
+            for m in (2, 3, 5):
+                t = 2.0 * np.arctan(ratio * RANK_RTOL)
+                Q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+                E = Q.copy()
+                E[:, 1] = np.cos(t) * Q[:, 0] + np.sin(t) * Q[:, 1]
+                E = E / np.linalg.norm(E, axis=0)
+                sv = np.linalg.svd(E, compute_uv=False)
+                assert np.array_equal(lapack.dgesdd(E, compute_uv=0)[1], sv)
+                dependent = sv[-1] < RANK_RTOL * sv[0]
+                try:
+                    Simplicial(E)
+                    assert not dependent, (ratio, m)
+                except ConeFormatError:
+                    assert dependent, (ratio, m)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    def test_unit_scales_by_norms(self, scale, rng):
+        # Far from unit length the columns are M / _norms(M) bit for bit;
+        # within 1e-12 of it a column keeps its bits.
+        M = scale * rng.standard_normal((4, 6))
+        assert np.array_equal(_unit(M, 0, "generator"), M / _norms(M, axis=0))
+        assert np.array_equal(_unit(M.T, 1, "normal"), M.T / _norms(M.T, axis=1)[:, None])
+        near = M / _norms(M, axis=0)
+        near[0] *= 1.0 + 1e-13
+        assert (_norms(near, axis=0) != 1.0).any()
+        assert np.array_equal(_unit(near, 0, "generator"), near)
 
     def test_bad_epsilon(self):
         with pytest.raises(ConeFormatError):

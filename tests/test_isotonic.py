@@ -249,6 +249,90 @@ class TestCertifyNecessary:
         assert cex is not None and verify_certificate(cex, K, L)
 
 
+def certify_reference(K, L, tol=isotonic.DEFAULT_TOL):
+    """certify_necessary asking every question on its own: membership of each
+    generator of K in L, and both interior LPs."""
+    if not is_proper(K) or not is_proper(L):
+        raise ValueError("certify_necessary requires proper cones")
+    GK, GL, UL = generator_matrix(K), generator_matrix(L), facet_normals(L)
+    k_in_l = all(membership(L, GK[:, j], tol) for j in range(GK.shape[1]))
+    return ContainmentReport(
+        k_in_l=k_in_l,
+        l_in_k_dual=bool(np.min(GK.T @ GL) >= -tol),
+        k_subdual=check_subdual(K, tol),
+        interior_kdual_l=kernels._has_interior(np.vstack([GK.T, -UL])),
+        interior_kdual_ldual=kernels._has_interior(np.vstack([GK.T, GL.T])),
+    )
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (ValueError, NonConvergenceError) as exc:
+        return type(exc), str(exc)
+
+
+def _certify_sweep_cones(m, rng):
+    eps = rng.choice([-1.0, 1.0], m)
+    eps[0] = -1.0
+    Q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    cones = [Orthant(m), SignedOrthant(eps), SignedOrthant(np.ones(m)), MonotoneNonneg(m),
+             Simplicial(Q), random_simplicial(rng, m), random_orthant_isotone_cone(rng, m),
+             PolyhedralH(m, -np.eye(m))]
+    if m == 2:
+        cones += [Lorentz(2), Simplicial(np.array([[1.0, -1.0], [0.0, 1.0]]))]
+    return cones
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_certify_matches_per_generator_reference(monkeypatch, m):
+    # Report for report, and error for error, as the reference that asks
+    # every question on its own; one LP fewer where L is stored self-dual.
+    rng = np.random.default_rng(100 + m)
+    cones = _certify_sweep_cones(m, rng)
+    others = [Orthant(m + 1), PolyhedralV(m, np.column_stack([np.eye(m), -np.eye(m)[:, 0]]))]
+    asked = []
+    monkeypatch.setattr(kernels, "lp_feasible", lambda G: asked.append(G) or lp_feasible(G))
+    for K in cones + others:
+        for L in cones + others:
+            for tol in (isotonic.DEFAULT_TOL, 0.0, 0.5, math.nan):
+                want = _outcome(partial(certify_reference, K, L, tol))
+                asked.clear()
+                got = _outcome(partial(certify_necessary, K, L, tol))
+                assert got == want, (K, L, tol)
+                if isinstance(got, ContainmentReport):
+                    self_dual = type(L) in (Orthant, SignedOrthant, Lorentz)
+                    assert len(asked) == (1 if self_dual else 2)
+
+
+@pytest.mark.parametrize("order", [[0, 1], [1, 0]], ids=["outside-first", "capped-first"])
+def test_certify_nan_margin_raises_where_membership_would(monkeypatch, order):
+    # membership stops at the first generator outside L, so a capped margin
+    # after it decides nothing; one before it raises.  L's margins are NaN on
+    # rows with a positive first entry, as a capped solve leaves them.
+    K = Simplicial(np.array([[-1.0, 0.2], [0.2, 1.0]])[:, order])
+    margin_rows = Orthant._margin_rows
+    monkeypatch.setattr(Orthant, "_margin_rows",
+                        lambda self, X: np.where(X[:, 0] > 0.0, np.nan, margin_rows(self, X)))
+    want = _outcome(partial(certify_reference, K, Orthant(2)))
+    assert _outcome(partial(certify_necessary, K, Orthant(2))) == want
+    assert isinstance(want, ContainmentReport) == (order == [0, 1])
+
+
+def test_certify_capped_lp_raises_as_reference(monkeypatch):
+    # Shallow interior systems reach the least-distance solver; capped, both
+    # routes raise the one class.
+    K = Simplicial(np.array([[1.0, -1.0 + 1e-3], [1e-3, 1.0]]))
+    outcomes = []
+    for L in (Orthant(2), SignedOrthant(np.array([1.0, -1.0])), Lorentz(2)):
+        monkeypatch.setattr(kernels, "nnls", partial(kernels.nnls, max_iter=0))
+        want = _outcome(partial(certify_reference, K, L))
+        outcomes.append(_outcome(partial(certify_necessary, K, L)))
+        monkeypatch.undo()
+        assert outcomes[-1] == want
+    assert (NonConvergenceError, "interior LP indeterminate") in outcomes
+
+
 class TestOrthantIsotoneRecognize:
     def test_monotone(self):
         rep = orthant_isotone_recognize(MonotoneNonneg(3))
@@ -354,6 +438,13 @@ class TestFalsify:
     def test_config_accepts_numpy_integers(self):
         cfg = FalsifierConfig(trials=np.int64(50), seed=np.int32(7))
         assert falsify(Orthant(2), Orthant(2), cfg) is None
+
+    def test_overflowing_scale_is_an_input_error(self):
+        # Draws at scale 1.7e308 overflow, and no solver runs for the orthant:
+        # the NaN margin is the scale's fault, not an iteration cap.
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="overflow at scale 1.7e"):
+            falsify(Orthant(3), Orthant(3), FalsifierConfig(trials=100, scale=1.7e308))
 
     def test_orthant_self_clean(self):
         cfg = FalsifierConfig(trials=2000, seed=42)

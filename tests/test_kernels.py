@@ -288,6 +288,69 @@ class TestLpFeasibleAgainstHighs:
                     assert slack < math.sqrt(m) * DEFAULT_MARGIN, (ratio, axis)
 
 
+@pytest.fixture
+def operator_builds(monkeypatch):
+    """The row count of the matrix of each _operator build: m + 1 for an
+    NNLS operator of a least-distance solve in R^m, m for a least-norm one."""
+    rows = []
+    build = kernels._operator
+
+    def counted(A, passive):
+        rows.append(A.shape[0])
+        return build(A, passive)
+
+    monkeypatch.setattr(kernels, "_operator", counted)
+    monkeypatch.setattr(kernels, "_solvers", {})
+    return rows
+
+
+class TestLpFeasibleGordan:
+    """"Infeasible" proved by Gordan's bound, before the least-norm solve."""
+
+    @pytest.mark.parametrize("eps", [(1.0, -1.0), (-1.0, -1.0), (1.0, -1.0, 1.0),
+                                     (-1.0, 1.0, -1.0, -1.0)])
+    def test_signed_orthant_pair_skips_least_norm_solve(self, operator_builds, eps):
+        # int(K_eps) misses the orthant's interior: rows e_i and eps_i e_i.
+        m = len(eps)
+        res = lp_feasible(np.vstack([np.eye(m), np.diag(eps)]))
+        assert res.status == "infeasible"
+        assert res.witness is None and math.isnan(res.margin)
+        assert operator_builds and m not in operator_builds
+
+    @staticmethod
+    def _least_distance_with(monkeypatch, G, u):
+        """_least_distance(G, h) when the NNLS solve returns u."""
+        monkeypatch.setattr(kernels, "nnls", lambda A, B: (u[None, :], np.zeros(1)))
+        return kernels._least_distance(G, np.full(len(G), 0.5))
+
+    @pytest.mark.parametrize("below, proved", [(2.0, True), (0.5, False)])
+    def test_rounding_allowance(self, monkeypatch, operator_builds, below, proved):
+        # Rows e_1 and -e_1 in R^2 with u = (1, v): the bound on min(G x) over
+        # the box is box (1 - v) / (1 + v).  It is set `below` times the
+        # allowance (k + m) eps sqrt(m) box under margin: a proof at 2, and
+        # none at 0.5, where only the allowance keeps it from counting.
+        G = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        allowance = 4 * kernels.EPS * math.sqrt(2.0) * DEFAULT_BOX
+        r = (DEFAULT_MARGIN - below * allowance) / DEFAULT_BOX
+        u = np.array([1.0, (1.0 - r) / (1.0 + r)])
+        bound = float(np.abs(u @ G).sum()) / float(u.sum()) * DEFAULT_BOX
+        assert abs(bound - (DEFAULT_MARGIN - below * allowance)) < 0.1 * allowance
+        w = self._least_distance_with(monkeypatch, G, u)
+        if proved:
+            assert w.status == "infeasible"
+            assert not operator_builds
+        else:
+            assert isinstance(w, np.ndarray)
+            assert operator_builds == [2]
+
+    def test_feasible_system_takes_no_exit(self, operator_builds):
+        # For a solid cone the bound is at least the LP optimum, far above margin.
+        G = unit_rows(SHALLOW_ROW_SUM)
+        res = lp_feasible(G)
+        assert res.status == "feasible"
+        assert 2 in operator_builds
+
+
 class TestLpFeasibleRobustness:
     @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1.0, 1e160, 1e200])
     def test_open_quadrant_at_extreme_scales(self, scale):
